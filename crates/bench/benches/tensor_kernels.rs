@@ -35,7 +35,16 @@ fn bench_ridge_solve(c: &mut Criterion) {
 }
 
 fn bench_gat_layer(c: &mut Criterion) {
-    use ams_core::GatLayer;
+    use ams_core::forward::gat_layer;
+    use ams_core::{GatLayer, TapeOps};
+    use ams_tensor::Var;
+
+    /// The layer recorded on the tape, its parameters as fresh leaves.
+    fn record(g: &mut Graph, layer: &GatLayer, x: Var, mask: &Matrix) -> Var {
+        let weights = layer.weights(|m| g.input(m.clone()));
+        let ops = &mut TapeOps { g, mask, dropout: None };
+        gat_layer(ops, &weights, x).unwrap_or_else(|never| match never {})
+    }
     let mut rng = StdRng::seed_from_u64(3);
     let n = 71;
     let layer = GatLayer::hidden(48, 8, 4, &mut rng);
@@ -50,8 +59,7 @@ fn bench_gat_layer(c: &mut Criterion) {
         b.iter(|| {
             let mut g = Graph::new();
             let x = g.input(x0.clone());
-            let pv: Vec<_> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
-            black_box(layer.forward(&mut g, x, &mask, &pv));
+            black_box(record(&mut g, &layer, x, &mask));
         });
     });
 
@@ -59,8 +67,7 @@ fn bench_gat_layer(c: &mut Criterion) {
         b.iter(|| {
             let mut g = Graph::new();
             let x = g.input(x0.clone());
-            let pv: Vec<_> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
-            let y = layer.forward(&mut g, x, &mask, &pv);
+            let y = record(&mut g, &layer, x, &mask);
             let loss = g.sq_frobenius(y);
             black_box(g.backward(loss));
         });

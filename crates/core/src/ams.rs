@@ -14,7 +14,7 @@
 //! and generator parameters plus `β_c`.
 
 use ams_graph::CompanyGraph;
-use ams_tensor::init::{dropout_mask, he_uniform};
+use ams_tensor::init::he_uniform;
 use ams_tensor::runtime::{Backend, BackendChoice};
 use ams_tensor::{ridge_solve, Adam, AdamState, Graph, Matrix, Var};
 use rand::rngs::StdRng;
@@ -22,6 +22,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 use crate::checkpoint::{self, CheckpointConfig, FitHalted, TrainCheckpoint};
+use crate::forward::{Outputs, TapeOps, Weights};
 use crate::gat::GatLayer;
 
 /// AMS hyperparameters. The γ / λ_slg / λ₁ knobs are the ones the
@@ -163,11 +164,11 @@ pub struct TrainingAudit {
 pub struct AmsModel {
     config: AmsConfig,
     /// Node-transform layers (W `in×out`, b `1×out`).
-    nt: Vec<(Matrix, Matrix)>,
+    nt: Vec<LinearLayer>,
     /// GAT stack: hidden multi-head layers then a single-head output.
     gat: Vec<GatLayer>,
-    /// Generator layers (W, b); the last maps to the slave-LR width d.
-    gen: Vec<(Matrix, Matrix)>,
+    /// Generator layers; the last maps to the slave-LR width d.
+    gen: Vec<LinearLayer>,
     /// Globally optimized assembly component β_c (d×1).
     beta_c: Matrix,
     /// Anchored LR coefficients B_acr (d×1), fitted in phase 1.
@@ -232,14 +233,7 @@ impl AmsModel {
     fn selection(&self, d: usize) -> Matrix {
         match &self.config.slave_cols {
             None => Matrix::eye(d),
-            Some(cols) => {
-                let mut s = Matrix::zeros(d, cols.len());
-                for (j, &c) in cols.iter().enumerate() {
-                    assert!(c < d, "slave column {c} out of range for width {d}");
-                    s[(c, j)] = 1.0;
-                }
-                s
-            }
+            Some(cols) => slave_selection(cols, d),
         }
     }
 
@@ -249,7 +243,8 @@ impl AmsModel {
         self.gen.clear();
         let mut w_in = d;
         for &w_out in &self.config.nt_hidden {
-            self.nt.push((he_uniform(w_in, w_out, rng), Matrix::zeros(1, w_out)));
+            self.nt
+                .push(LinearLayer { w: he_uniform(w_in, w_out, rng), b: Matrix::zeros(1, w_out) });
             w_in = w_out;
         }
         let hidden = GatLayer::hidden(w_in, self.config.gat_hidden, self.config.gat_heads, rng);
@@ -263,7 +258,8 @@ impl AmsModel {
         };
         let mut g_in = self.config.gat_out + if self.config.residual { nt_out } else { 0 };
         for &w_out in &self.config.gen_hidden {
-            self.gen.push((he_uniform(g_in, w_out, rng), Matrix::zeros(1, w_out)));
+            self.gen
+                .push(LinearLayer { w: he_uniform(g_in, w_out, rng), b: Matrix::zeros(1, w_out) });
             g_in = w_out;
         }
         // Final projection to the slave-LR weight vector (no
@@ -273,59 +269,38 @@ impl AmsModel {
         // adaptation — the optimization-friendly reading of the
         // supervised-generation idea (Eq. 8).
         let m = self.slave_dim(d);
-        self.gen.push((Matrix::zeros(g_in, m), Matrix::zeros(1, m)));
+        self.gen.push(LinearLayer { w: Matrix::zeros(g_in, m), b: Matrix::zeros(1, m) });
         self.beta_c = Matrix::zeros(m, 1);
+    }
+
+    /// The parameters in forward structure, borrowed.
+    fn weights(&self) -> Weights<&Matrix> {
+        Weights::new(&self.config, &self.nt, &self.gat, &self.gen, &self.beta_c, None, |m| m)
     }
 
     /// Flat parameter list in the canonical order used for Adam.
     fn param_list(&self) -> Vec<Matrix> {
-        let mut out = Vec::new();
-        for (w, b) in &self.nt {
-            out.push(w.clone());
-            out.push(b.clone());
-        }
-        for layer in &self.gat {
-            out.extend(layer.params().into_iter().cloned());
-        }
-        for (w, b) in &self.gen {
-            out.push(w.clone());
-            out.push(b.clone());
-        }
-        out.push(self.beta_c.clone());
-        out
+        self.weights().named_params().into_iter().map(|(_, m)| (*m).clone()).collect()
     }
 
     /// Human names for every slot of [`AmsModel::param_list`], in the
-    /// same canonical order: `nt[i].w`, `nt[i].b`,
-    /// `gat[l].head[h].{w,a_left,a_right}`, `gen[i].{w,b}`, `beta_c`.
-    /// Used to label parameters in training-audit diagnostics.
+    /// same canonical order ([`Weights::named_params`]). Used to label
+    /// parameters in training-audit diagnostics.
     pub fn param_names(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for i in 0..self.nt.len() {
-            out.push(format!("nt[{i}].w"));
-            out.push(format!("nt[{i}].b"));
-        }
-        for (l, layer) in self.gat.iter().enumerate() {
-            for h in 0..layer.heads.len() {
-                out.push(format!("gat[{l}].head[{h}].w"));
-                out.push(format!("gat[{l}].head[{h}].a_left"));
-                out.push(format!("gat[{l}].head[{h}].a_right"));
-            }
-        }
-        for i in 0..self.gen.len() {
-            out.push(format!("gen[{i}].w"));
-            out.push(format!("gen[{i}].b"));
-        }
-        out.push("beta_c".to_string());
-        out
+        self.weights().named_params().into_iter().map(|(name, _)| name).collect()
+    }
+
+    /// Which parameter slots receive L2 (weights and β_c, not biases).
+    fn l2_slots(&self) -> Vec<bool> {
+        self.param_names().iter().map(|name| !name.ends_with(".b")).collect()
     }
 
     /// Write a flat parameter list back into the structured storage.
     fn store_params(&mut self, params: &[Matrix]) {
         let mut it = params.iter();
-        for (w, b) in &mut self.nt {
-            *w = it.next().expect("nt W").clone();
-            *b = it.next().expect("nt b").clone();
+        for l in &mut self.nt {
+            l.w = it.next().expect("nt W").clone();
+            l.b = it.next().expect("nt b").clone();
         }
         for layer in &mut self.gat {
             for head in &mut layer.heads {
@@ -334,96 +309,24 @@ impl AmsModel {
                 head.a_right = it.next().expect("gat a_r").clone();
             }
         }
-        for (w, b) in &mut self.gen {
-            *w = it.next().expect("gen W").clone();
-            *b = it.next().expect("gen b").clone();
+        for l in &mut self.gen {
+            l.w = it.next().expect("gen W").clone();
+            l.b = it.next().expect("gen b").clone();
         }
         self.beta_c = it.next().expect("beta_c").clone();
         assert!(it.next().is_none(), "extra parameters");
     }
 
-    /// Build the master forward pass on `g` for one quarter's node
-    /// features, returning `(prediction n×1, generated β_v n×d,
-    /// assembled β n×d)`. `param_vars` must follow `param_list` order.
-    fn forward(
-        &self,
-        g: &mut Graph,
-        x: Var,
-        mask: &Matrix,
-        param_vars: &[Var],
-        rng: Option<&mut StdRng>,
-    ) -> (Var, Var, Var) {
-        let mut cursor = 0;
-        let mut take = |k: usize| {
-            let r = cursor;
-            cursor += k;
-            r
-        };
-        let mut rng = rng;
-        let apply_dropout = |g: &mut Graph, h: Var, rng: &mut Option<&mut StdRng>| -> Var {
-            if self.config.dropout > 0.0 {
-                if let Some(r) = rng.as_deref_mut() {
-                    let shape = g.value(h).shape();
-                    let m = dropout_mask(shape.0, shape.1, self.config.dropout, r);
-                    return g.dropout(h, &m);
-                }
-            }
-            h
-        };
-
-        // Node transform (Eq. 1).
-        let mut h = x;
-        for _ in &self.nt {
-            let wi = take(2);
-            let z = g.matmul(h, param_vars[wi]);
-            let z = g.add_row_broadcast(z, param_vars[wi + 1]);
-            h = g.relu(z);
-            h = apply_dropout(g, h, &mut rng);
-        }
-        let nt_out = h;
-        // GAT stack (Eqs. 2–3).
-        for layer in &self.gat {
-            let base = take(layer.n_params());
-            h = layer.forward(g, h, mask, &param_vars[base..base + layer.n_params()]);
-        }
-        if self.config.residual {
-            h = g.concat_cols(&[h, nt_out]);
-        }
-        // Generator M (Eq. 6): hidden ReLU layers then a linear map.
-        let n_gen = self.gen.len();
-        for (i, _) in self.gen.iter().enumerate() {
-            let wi = take(2);
-            let z = g.matmul(h, param_vars[wi]);
-            let z = g.add_row_broadcast(z, param_vars[wi + 1]);
-            if i + 1 < n_gen {
-                h = g.relu(z);
-                h = apply_dropout(g, h, &mut rng);
-            } else {
-                h = z;
-            }
-        }
-        let beta_v = h; // n×d
-
-        // Model assembly (Eq. 10): β = γ β_v + (1−γ) β_c.
-        let beta_c_var = param_vars[take(1)];
-        let n = g.value(x).rows();
-        let ones = g.input(Matrix::ones(n, 1));
-        let bc_t = g.transpose(beta_c_var); // 1×d
-        let bc_rows = g.matmul(ones, bc_t); // n×d
-        let scaled_v = g.scale(beta_v, self.config.gamma);
-        let scaled_c = g.scale(bc_rows, 1.0 - self.config.gamma);
-        let beta = g.add(scaled_v, scaled_c);
-
-        // Slave-LR evaluation on the slave columns: ÛR_i = x̃_iᵀ β_i.
-        let d = g.value(x).cols();
-        let x_slave = if self.config.slave_cols.is_some() {
-            let sel = g.input(self.selection(d));
-            g.matmul(x, sel)
-        } else {
-            x
-        };
-        let pred = g.rowwise_dot(x_slave, beta);
-        (pred, beta_v, beta)
+    /// The forward weights as tape leaves: `param_vars` (in
+    /// `param_list` order) plus an input leaf for the slave-column
+    /// projection.
+    fn weight_vars(&self, g: &mut Graph, param_vars: &[Var], d: usize) -> Weights<Var> {
+        let selection =
+            self.config.slave_cols.as_ref().map(|cols| g.input(slave_selection(cols, d)));
+        let mut vars = param_vars.iter().copied();
+        Weights::new(&self.config, &self.nt, &self.gat, &self.gen, &self.beta_c, selection, |_| {
+            vars.next().expect("one var per parameter")
+        })
     }
 
     /// Validate fit inputs and return `(feature width, dense mask)`.
@@ -473,13 +376,16 @@ impl AmsModel {
         let n_weight_slots = self.l2_slots();
         let param_vars: Vec<Var> = params.iter().map(|p| g.input(p.clone())).collect();
         let b_acr_rowvar = g.input(b_acr.t()); // 1×d, broadcast target
+        let weights = self.weight_vars(g, &param_vars, train[0].x.cols());
 
         let mut data_term: Option<Var> = None;
         let mut slg_term: Option<Var> = None;
         for batch in train {
             let x = g.input(batch.x.clone());
             let y = g.input(batch.y.clone());
-            let (pred, beta_v, _) = self.forward(g, x, mask, &param_vars, rng.as_deref_mut());
+            let dropout = rng.as_deref_mut().map(|r| (self.config.dropout, r));
+            let Outputs { pred, beta_v, .. } =
+                TapeOps { g: &mut *g, mask, dropout }.run(&weights, x);
             let resid = g.sub(pred, y);
             let sq = g.sq_frobenius(resid);
             data_term = Some(match data_term {
@@ -543,8 +449,8 @@ impl AmsModel {
             let mut rng = StdRng::seed_from_u64(self.config.seed);
             self.build_params(d, &mut rng);
             self.beta_c = b_acr.clone();
-            if let Some((_, bias)) = self.gen.last_mut() {
-                *bias = b_acr.t();
+            if let Some(last) = self.gen.last_mut() {
+                last.b = b_acr.t();
             }
         }
         let params = self.param_list();
@@ -651,8 +557,8 @@ impl AmsModel {
         // generator's output bias and the global assembly β_c start at
         // B_acr, so epoch 0 reproduces the anchored model exactly.
         self.beta_c = b_acr.clone();
-        if let Some((_, b)) = self.gen.last_mut() {
-            *b = b_acr.t();
+        if let Some(last) = self.gen.last_mut() {
+            last.b = b_acr.t();
         }
 
         let mut params = self.param_list();
@@ -796,28 +702,6 @@ impl AmsModel {
         Ok(best_val)
     }
 
-    /// Which parameter slots receive L2 (weights and β_c, not biases).
-    fn l2_slots(&self) -> Vec<bool> {
-        let mut slots = Vec::new();
-        for _ in &self.nt {
-            slots.push(true); // W
-            slots.push(false); // b
-        }
-        for layer in &self.gat {
-            for _ in &layer.heads {
-                slots.push(true); // W
-                slots.push(true); // a_left
-                slots.push(true); // a_right
-            }
-        }
-        for _ in &self.gen {
-            slots.push(true);
-            slots.push(false);
-        }
-        slots.push(true); // beta_c (Eq. 11's ‖β_c‖²)
-        slots
-    }
-
     /// Predict normalized unexpected revenue for every company at one
     /// quarter (`x` is `n×d` with rows aligned to graph node ids).
     pub fn predict(&self, x: &Matrix) -> Matrix {
@@ -838,14 +722,11 @@ impl AmsModel {
     /// untrained model snapshots too (empty layers, `mask: None`), which
     /// [`AmsModel::from_snapshot`] restores to the same untrained state.
     pub fn snapshot(&self) -> ModelSnapshot {
-        let lin = |layers: &[(Matrix, Matrix)]| {
-            layers.iter().map(|(w, b)| LinearLayer { w: w.clone(), b: b.clone() }).collect()
-        };
         ModelSnapshot {
             config: self.config.clone(),
-            nt: lin(&self.nt),
+            nt: self.nt.clone(),
             gat: self.gat.clone(),
-            gen: lin(&self.gen),
+            gen: self.gen.clone(),
             beta_c: self.beta_c.clone(),
             b_acr: self.b_acr.clone(),
             mask: self.mask.clone(),
@@ -857,26 +738,17 @@ impl AmsModel {
     /// snapshot for `predict` / `slave_weights` (bit-for-bit: both run
     /// the same forward pass over the same parameters).
     pub fn from_snapshot(s: ModelSnapshot) -> Self {
-        let lin = |layers: Vec<LinearLayer>| layers.into_iter().map(|l| (l.w, l.b)).collect();
         let backend = resolve_backend(&s.config);
         Self {
             config: s.config,
-            nt: lin(s.nt),
+            nt: s.nt,
             gat: s.gat,
-            gen: lin(s.gen),
+            gen: s.gen,
             beta_c: s.beta_c,
             b_acr: s.b_acr,
             mask: s.mask,
             backend,
         }
-    }
-
-    /// 0/1 selection matrix mapping full features to the configured
-    /// slave columns (`d×m`; identity when no subset is configured).
-    /// Exposed so tape-free scorers can reproduce the slave-column
-    /// projection exactly.
-    pub fn selection_matrix(&self, d: usize) -> Matrix {
-        self.selection(d)
     }
 
     fn run_eval(&self, x: &Matrix) -> (Matrix, Matrix, Matrix) {
@@ -886,9 +758,24 @@ impl AmsModel {
         let mut g = Graph::with_backend(Arc::clone(&self.backend));
         let xv = g.input(x.clone());
         let pv: Vec<Var> = params.iter().map(|p| g.input(p.clone())).collect();
-        let (pred, beta_v, beta) = self.forward(&mut g, xv, mask, &pv, None);
-        (g.value(pred).clone(), g.value(beta_v).clone(), g.value(beta).clone())
+        let weights = self.weight_vars(&mut g, &pv, x.cols());
+        let out = TapeOps { g: &mut g, mask, dropout: None }.run(&weights, xv);
+        (g.value(out.pred).clone(), g.value(out.beta_v).clone(), g.value(out.beta).clone())
     }
+}
+
+/// 0/1 projection (`d×m`) from the full feature vector to the slave
+/// columns `cols`.
+///
+/// # Panics
+/// Panics if a column is out of range for width `d`.
+pub fn slave_selection(cols: &[usize], d: usize) -> Matrix {
+    let mut s = Matrix::zeros(d, cols.len());
+    for (j, &c) in cols.iter().enumerate() {
+        assert!(c < d, "slave column {c} out of range for width {d}");
+        s[(c, j)] = 1.0;
+    }
+    s
 }
 
 #[cfg(test)]

@@ -6,10 +6,13 @@
 //! neighbourhood in the company correlation graph (masked softmax), and
 //! aggregates `x'_i = φ(Σ_j α_ij W x_j)` (Eq. 2). Hidden layers
 //! concatenate `H` heads (Eq. 3); per the paper, "the final output
-//! layer of GAT is a single attention head layer".
+//! layer of GAT is a single attention head layer". The attention
+//! arithmetic itself is part of the one forward pass in
+//! [`crate::forward`].
 
+use crate::forward::{Attention, Head};
 use ams_tensor::init::xavier_uniform;
-use ams_tensor::{Graph, Matrix, Var};
+use ams_tensor::Matrix;
 use rand::Rng;
 
 /// One attention head's parameters.
@@ -37,30 +40,6 @@ impl GatHead {
     /// The head's parameters in canonical order.
     pub fn params(&self) -> Vec<&Matrix> {
         vec![&self.w, &self.a_left, &self.a_right]
-    }
-
-    /// Number of parameter matrices per head.
-    pub const N_PARAMS: usize = 3;
-
-    /// Forward for one head. `param_vars` must hold `[w, a_left,
-    /// a_right]` as graph leaves; returns the aggregated (pre-
-    /// activation) node features.
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        x: Var,
-        mask: &Matrix,
-        leaky_slope: f64,
-        param_vars: &[Var],
-    ) -> Var {
-        let [w, a_l, a_r] = [param_vars[0], param_vars[1], param_vars[2]];
-        let wx = g.matmul(x, w); // n×out
-        let s_l = g.matmul(wx, a_l); // n×1
-        let s_r = g.matmul(wx, a_r); // n×1
-        let logits = g.outer_sum(s_l, s_r); // e_ij = s_l[i] + s_r[j]
-        let logits = g.leaky_relu(logits, leaky_slope);
-        let attn = g.masked_softmax_rows(logits, mask);
-        g.matmul(attn, wx) // Σ_j α_ij W x_j
     }
 }
 
@@ -108,37 +87,44 @@ impl GatLayer {
         self.heads.iter().flat_map(|h| h.params()).collect()
     }
 
-    /// Number of parameter matrices.
-    pub fn n_params(&self) -> usize {
-        self.heads.len() * GatHead::N_PARAMS
-    }
-
-    /// Forward pass with ReLU activation (Eqs. 2–3). `param_vars` must
-    /// hold this layer's parameters in [`GatLayer::params`] order.
-    pub fn forward(&self, g: &mut Graph, x: Var, mask: &Matrix, param_vars: &[Var]) -> Var {
-        assert_eq!(param_vars.len(), self.n_params(), "gat forward: param count mismatch");
-        let mut outs = Vec::with_capacity(self.heads.len());
-        for (h, head) in self.heads.iter().enumerate() {
-            let pv = &param_vars[h * GatHead::N_PARAMS..(h + 1) * GatHead::N_PARAMS];
-            let agg = head.forward(g, x, mask, self.leaky_slope, pv);
-            outs.push(g.relu(agg));
-        }
-        if outs.len() == 1 {
-            outs[0]
-        } else {
-            g.concat_cols(&outs)
-        }
+    /// The layer's parameters mapped to forward-pass handles by `param`,
+    /// called in [`GatLayer::params`] order.
+    pub fn weights<'m, T>(&'m self, mut param: impl FnMut(&'m Matrix) -> T) -> Attention<T> {
+        let heads = self
+            .heads
+            .iter()
+            .map(|h| Head { w: param(&h.w), a_left: param(&h.a_left), a_right: param(&h.a_right) })
+            .collect();
+        Attention { heads, leaky_slope: self.leaky_slope }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forward::{attention_head, gat_layer, TapeOps};
     use ams_graph::CompanyGraph;
     use ams_tensor::gradcheck::{check_gradients, check_gradients_with};
     use ams_tensor::init::xavier_uniform;
+    use ams_tensor::{Graph, Var};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// One GAT layer recorded on the tape, its parameters taken from
+    /// `pv` in [`GatLayer::params`] order.
+    fn layer_forward(g: &mut Graph, layer: &GatLayer, x: Var, mask: &Matrix, pv: &[Var]) -> Var {
+        let mut vars = pv.iter().copied();
+        let weights = layer.weights(|_| vars.next().expect("one var per parameter"));
+        let ops = &mut TapeOps { g, mask, dropout: None };
+        gat_layer(ops, &weights, x).unwrap_or_else(|never| match never {})
+    }
+
+    /// One raw (pre-activation) head recorded on the tape.
+    fn head_forward(g: &mut Graph, x: Var, mask: &Matrix, pv: &[Var]) -> Var {
+        let head = Head { w: pv[0], a_left: pv[1], a_right: pv[2] };
+        let ops = &mut TapeOps { g, mask, dropout: None };
+        attention_head(ops, &head, 0.2, &x).unwrap_or_else(|never| match never {})
+    }
 
     fn line_graph_mask(n: usize) -> Matrix {
         // Path graph with self loops.
@@ -163,12 +149,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let layer = GatLayer::hidden(6, 4, 3, &mut rng);
         assert_eq!(layer.out_dim(), 12);
-        assert_eq!(layer.n_params(), 9);
+        assert_eq!(layer.params().len(), 9);
         let mask = line_graph_mask(5);
         let mut g = Graph::new();
         let x = g.input(xavier_uniform(5, 6, &mut rng));
         let pv: Vec<Var> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
-        let y = layer.forward(&mut g, x, &mask, &pv);
+        let y = layer_forward(&mut g, &layer, x, &mask, &pv);
         assert_eq!(g.value(y).shape(), (5, 12));
     }
 
@@ -185,7 +171,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(xavier_uniform(4, 3, &mut rng));
         let pv: Vec<Var> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
-        let y = layer.forward(&mut g, x, &mask, &pv);
+        let y = layer_forward(&mut g, &layer, x, &mask, &pv);
         assert_eq!(g.value(y).row(3), &[0.0, 0.0]);
     }
 
@@ -203,7 +189,7 @@ mod tests {
             let mut g = Graph::new();
             let x = g.input(xm.clone());
             let pv: Vec<Var> = head.params().iter().map(|p| g.input((*p).clone())).collect();
-            let y = head.forward(&mut g, x, &mask, 0.2, &pv);
+            let y = head_forward(&mut g, x, &mask, &pv);
             g.value(y).clone()
         };
         let y0 = run(&base);
@@ -236,7 +222,7 @@ mod tests {
         params.extend(layer.params().into_iter().cloned());
         check_gradients(
             &move |g, vars| {
-                let y = layer.forward(g, vars[0], &mask, &vars[1..]);
+                let y = layer_forward(g, &layer, vars[0], &mask, &vars[1..]);
                 g.sq_frobenius(y)
             },
             &params,
@@ -260,7 +246,7 @@ mod tests {
             std::sync::Arc::new(ams_tensor::runtime::Par::new(4));
         check_gradients_with(
             &move |g, vars| {
-                let y = layer.forward(g, vars[0], &mask, &vars[1..]);
+                let y = layer_forward(g, &layer, vars[0], &mask, &vars[1..]);
                 g.sq_frobenius(y)
             },
             &params,
@@ -285,7 +271,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(x0);
         let pv: Vec<Var> = head.params().iter().map(|p| g.input((*p).clone())).collect();
-        let y = head.forward(&mut g, x, &mask, 0.2, &pv);
+        let y = head_forward(&mut g, x, &mask, &pv);
         let yv = g.value(y);
         // Node 0 neighbours {0, 1}: mean of 1 and 2 = 1.5.
         assert!((yv[(0, 0)] - 1.5).abs() < 1e-12);

@@ -269,10 +269,9 @@ impl ModelArtifact {
     }
 
     /// Quantize the forward-pass weights to f32 (DESIGN.md §14): every
-    /// parameter rounded once, at export/load time, to the nearest f32.
-    /// The result is the plan the engine's mixed-precision batch path
-    /// executes, and it serializes standalone via
-    /// [`crate::plan::ForwardPlan::to_bytes`].
+    /// parameter rounded once, at load time, to the nearest f32. The
+    /// result is the plan the engine's mixed-precision batch path
+    /// executes.
     pub fn quantize_f32(&self) -> Result<crate::plan::ForwardPlan<f32>, String> {
         crate::plan::ForwardPlan::from_artifact(self)
     }

@@ -1,18 +1,17 @@
 //! Tape-free forward-only scoring.
 //!
-//! Training-side `AmsModel::predict` replays the master→slave forward
-//! pass on the autodiff [`ams_tensor::Graph`] — every intermediate is
+//! Training-side `AmsModel::predict` runs the master→slave forward pass
+//! on the autodiff [`ams_tensor::Graph`] — every intermediate is
 //! recorded on a tape so gradients *could* be taken, which serving
-//! never needs. [`Engine`] runs the same arithmetic directly on
-//! workspace buffers: same primitives in the same order, so results
-//! are bit-for-bit identical to the tape, with no tape allocation.
+//! never needs. [`Engine`] runs the *same* forward
+//! ([`ams_core::forward()`]) on its value-only workspace implementation
+//! ([`WsOps`]): same primitives in the same order, so results are
+//! bit-for-bit identical to the tape, with no tape allocation.
 //!
-//! The forward pass itself ([`run_plan`]) is generic over the scalar
-//! ([`Element`]): the engine freezes its weights into a
-//! [`ForwardPlan`] per precision at load time — an exact f64 copy
-//! (the bit-identical default path) and a quantized f32 copy (the
-//! mixed-precision path of DESIGN.md §14, within a documented epsilon
-//! of the f64 result).
+//! The engine freezes its weights into a [`ForwardPlan`] per precision
+//! at load time — an exact f64 copy (the bit-identical default path)
+//! and a quantized f32 copy (the mixed-precision path of DESIGN.md §14,
+//! within a documented epsilon of the f64 result).
 //!
 //! Three paths:
 //! * **batch** ([`Engine::predict_batch`]) re-runs the master and the
@@ -30,8 +29,9 @@
 //!   serving trade-off.
 
 use crate::artifact::{FallbackModel, ModelArtifact};
-use crate::plan::{ForwardPlan, PlanGatHead, PlanGatLayer, PlanLinear, Plane, PlaneRef};
-use ams_tensor::runtime::{Backend, Element, RuntimeError, Seq, SimdSeq, Workspace};
+use crate::plan::ForwardPlan;
+use ams_core::{forward, ExecError, Outputs, Plane, WsOps};
+use ams_tensor::runtime::{Backend, Element, Seq, SimdSeq, Workspace};
 use ams_tensor::Matrix;
 use std::time::Instant;
 
@@ -63,11 +63,14 @@ impl std::fmt::Display for PredictError {
 
 impl std::error::Error for PredictError {}
 
-impl From<String> for PredictError {
-    /// Untyped errors bubbling out of the kernel helpers can only be
-    /// shape mismatches from a corrupt snapshot — engine failures.
-    fn from(message: String) -> Self {
-        PredictError::Engine(message)
+impl From<ExecError> for PredictError {
+    /// A forward pass stops on an expired deadline or on a shape
+    /// mismatch inside a corrupt snapshot — an engine failure.
+    fn from(e: ExecError) -> Self {
+        match e {
+            ExecError::DeadlineExceeded => PredictError::DeadlineExceeded,
+            other => PredictError::Engine(other.to_string()),
+        }
     }
 }
 
@@ -75,15 +78,6 @@ impl PredictError {
     /// Does this failure count against the model's circuit breaker?
     pub fn is_engine_failure(&self) -> bool {
         matches!(self, PredictError::Engine(_))
-    }
-}
-
-/// Bail out of the forward pass between stages once the request's
-/// deadline has passed — the abandoned work is the cheapest work.
-fn check_deadline(deadline: Option<Instant>) -> Result<(), PredictError> {
-    match deadline {
-        Some(d) if Instant::now() >= d => Err(PredictError::DeadlineExceeded),
-        _ => Ok(()),
     }
 }
 
@@ -108,6 +102,9 @@ impl Engine {
         artifact.validate()?;
         let plan64 = ForwardPlan::from_artifact(&artifact)?;
         let plan32 = artifact.quantize_f32()?;
+        // Both plans carry the snapshot's shapes: one dry run checks
+        // them before any request.
+        plan64.check_shapes(&Seq)?;
         let placeholder = FallbackModel {
             anchor: artifact
                 .snapshot
@@ -136,11 +133,6 @@ impl Engine {
     /// The degraded-mode predictor (never absent; see [`Engine::new`]).
     pub fn fallback(&self) -> &FallbackModel {
         &self.fallback
-    }
-
-    /// The quantized f32 plan this engine scores the f32 path with.
-    pub fn plan_f32(&self) -> &ForwardPlan<f32> {
-        &self.plan32
     }
 
     /// Score through the fallback ladder. `features` (full-width, may
@@ -274,8 +266,7 @@ impl Engine {
         ws: &mut Workspace,
         deadline: Option<Instant>,
     ) -> Result<Matrix, PredictError> {
-        let (pred, beta_v, beta) =
-            run_plan(&self.plan64, PlaneRef::of_matrix(x), backend, ws, deadline)?;
+        let Outputs { pred, beta_v, beta } = score(&self.plan64, x, false, backend, ws, deadline)?;
         ws.give(beta_v.into_vec());
         ws.give(beta.into_vec());
         if pred.as_slice().iter().any(|v| !v.is_finite()) {
@@ -304,33 +295,15 @@ impl Engine {
         ws: &mut Workspace,
         deadline: Option<Instant>,
     ) -> Result<Matrix, PredictError> {
-        // One pass both narrows and validates: the finite check rides
-        // the copy instead of a separate scan over `x`.
-        let mut xin = ws32.take(x.len());
-        let mut finite = true;
-        for (o, &v) in xin.iter_mut().zip(x.as_slice()) {
-            finite &= v.is_finite();
-            *o = v as f32;
-        }
-        if !finite {
-            ws32.give(xin);
-            return Err(PredictError::BadRequest(
-                "non-finite features (the f32 path requires finite input)".to_string(),
-            ));
-        }
-        let x32 = Plane::from_vec(x.rows(), x.cols(), xin);
-        let result = run_plan(&self.plan32, x32.view(), backend, ws32, deadline);
-        ws32.give(x32.into_vec());
-        let (pred, beta_v, beta) = result?;
+        let Outputs { pred, beta_v, beta } = score(&self.plan32, x, true, backend, ws32, deadline)?;
         ws32.give(beta_v.into_vec());
         ws32.give(beta.into_vec());
-        let rows = pred.rows();
-        let mut data = ws.take(pred.len());
+        let mut data = ws.take(pred.rows());
         for (o, &v) in data.iter_mut().zip(pred.as_slice()) {
             *o = v as f64;
         }
+        let out = Matrix::from_vec(pred.rows(), 1, data);
         ws32.give(pred.into_vec());
-        let out = Matrix::from_vec(rows, 1, data);
         if out.as_slice().iter().any(|v| !v.is_finite()) {
             ws.give(out.into_vec());
             return Err(PredictError::Engine("non-finite prediction".to_string()));
@@ -351,284 +324,56 @@ impl Engine {
     /// the serving-side counterpart of `AmsModel::slave_weights`.
     pub fn slave_weights_batch(&self, x: &Matrix) -> Result<(Matrix, Matrix), String> {
         let mut ws = Workspace::new();
-        let (pred, beta_v, beta) =
-            run_plan(&self.plan64, PlaneRef::of_matrix(x), &Seq, &mut ws, None)
-                .map_err(|e| e.to_string())?;
+        let Outputs { pred, beta_v, beta } =
+            score(&self.plan64, x, false, &Seq, &mut ws, None).map_err(|e| e.to_string())?;
         ws.give(pred.into_vec());
         Ok((beta.into_matrix(), beta_v.into_matrix()))
     }
 }
 
-/// What [`run_plan`] hands back: `(predictions, generated β_v,
-/// assembled β)`, all still in the plan's scalar type.
-type PlanOutputs<E> = (Plane<E>, Plane<E>, Plane<E>);
-
-/// The forward pass of `AmsModel::forward`, replayed value-only on the
-/// runtime kernels — generic over the scalar. For `E = f64` every step
-/// performs the identical arithmetic in the identical order as the
-/// tape op — that is what makes the engine exactly (not approximately)
-/// equal to the training-side predict, on every deterministic backend.
-/// For `E = f32` the same code is the quantized inference path.
-fn run_plan<E: Element>(
+/// Run the one forward pass on a frozen plan: check `x` against the
+/// model's shape, narrow it into a workspace plane (with
+/// `require_finite`, rejecting non-finite features as a bad request —
+/// the check rides the copy), and execute value-only on `backend`.
+fn score<E: Element>(
     plan: &ForwardPlan<E>,
-    x: PlaneRef<'_, E>,
+    x: &Matrix,
+    require_finite: bool,
     backend: &dyn Backend<E>,
     ws: &mut Workspace<E>,
     deadline: Option<Instant>,
-) -> Result<PlanOutputs<E>, PredictError> {
-    if x.rows != plan.companies {
+) -> Result<Outputs<Plane<E>>, PredictError> {
+    if x.rows() != plan.companies {
         return Err(PredictError::BadRequest(format!(
             "batch has {} rows but the model graph has {} nodes",
-            x.rows, plan.companies
+            x.rows(),
+            plan.companies
         )));
     }
-    if x.cols != plan.width {
+    if x.cols() != plan.width {
         return Err(PredictError::BadRequest(format!(
             "feature width {} != model width {}",
-            x.cols, plan.width
+            x.cols(),
+            plan.width
         )));
     }
-
-    // Node transform (Eq. 1); dropout is identity at eval time.
-    let mut h = clone_ref_ws(x, ws);
-    for PlanLinear { w, b } in &plan.nt {
-        let mut z = matmul_add_bias_ws(h.view(), w.view(), b.view(), backend, ws)?;
-        relu_in_place(&mut z);
-        ws.give(h.into_vec());
-        h = z;
-    }
-    check_deadline(deadline)?;
-    let nt_out = clone_ref_ws(h.view(), ws);
-    // GAT stack (Eqs. 2–3).
-    for layer in &plan.gat {
-        let next = gat_layer_forward_ws(layer, &h, &plan.mask, backend, ws)?;
-        ws.give(h.into_vec());
-        h = next;
-    }
-    check_deadline(deadline)?;
-    if plan.residual {
-        let cat = hcat_ws(&h, &nt_out, ws);
-        ws.give(h.into_vec());
-        h = cat;
-    }
-    ws.give(nt_out.into_vec());
-    // Generator M (Eq. 6): hidden ReLU layers then a linear map.
-    let n_gen = plan.gen.len();
-    for (i, PlanLinear { w, b }) in plan.gen.iter().enumerate() {
-        let mut z = matmul_add_bias_ws(h.view(), w.view(), b.view(), backend, ws)?;
-        if i + 1 < n_gen {
-            relu_in_place(&mut z);
-        }
-        ws.give(h.into_vec());
-        h = z;
-    }
-    check_deadline(deadline)?;
-    let beta_v = h;
-
-    // Model assembly (Eq. 10): β = γ β_v + (1−γ) β_c. The ones·βcᵀ
-    // product is kept (rather than a row copy) so `-0.0` entries
-    // normalize exactly as on the tape.
-    let ones = {
-        let mut data = ws.take(x.rows);
-        data.iter_mut().for_each(|v| *v = E::ONE);
-        Plane::from_vec(x.rows, 1, data)
-    };
-    let bc_rows = matmul_ws(ones.view(), plan.beta_c_t.view(), backend, ws)?;
-    ws.give(ones.into_vec());
-    let mut beta = affine_ws(&beta_v, plan.gamma, ws);
-    let bc_scaled = affine_ws(&bc_rows, plan.gamma_c, ws);
-    ws.give(bc_rows.into_vec());
-    for (a, &b) in beta.as_mut_slice().iter_mut().zip(bc_scaled.as_slice()) {
-        *a += b;
-    }
-    ws.give(bc_scaled.into_vec());
-
-    // Slave-LR evaluation on the slave columns.
-    let x_slave = match &plan.selection {
-        Some(sel) => matmul_ws(x, sel.view(), backend, ws)?,
-        None => clone_ref_ws(x, ws),
-    };
-    let mut pred_data = ws.take(x_slave.rows());
-    backend.rowwise_dot(
-        x_slave.as_slice(),
-        beta.as_slice(),
-        &mut pred_data,
-        x_slave.rows(),
-        x_slave.cols(),
-    );
-    let pred = Plane::from_vec(x_slave.rows(), 1, pred_data);
-    ws.give(x_slave.into_vec());
-    Ok((pred, beta_v, beta))
-}
-
-/// Copy a plane view into a workspace buffer.
-fn clone_ref_ws<E: Element>(x: PlaneRef<'_, E>, ws: &mut Workspace<E>) -> Plane<E> {
-    let mut data = ws.take(x.data.len());
-    data.copy_from_slice(x.data);
-    Plane::from_vec(x.rows, x.cols, data)
-}
-
-/// `Graph::relu` value semantics, in place.
-fn relu_in_place<E: Element>(x: &mut Plane<E>) {
-    for e in x.as_mut_slice() {
-        *e = (*e).max(E::ZERO);
-    }
-}
-
-/// `Graph::leaky_relu` value semantics, in place.
-fn leaky_relu_in_place<E: Element>(x: &mut Plane<E>, alpha: E) {
-    for e in x.as_mut_slice() {
-        *e = if *e > E::ZERO { *e } else { alpha * *e };
-    }
-}
-
-/// `Graph::affine`/`scale` value semantics (`alpha·x + 0.0`; the
-/// `+ 0.0` is kept so `-0.0` entries normalize exactly as on the tape).
-fn affine_ws<E: Element>(x: &Plane<E>, alpha: E, ws: &mut Workspace<E>) -> Plane<E> {
     let mut data = ws.take(x.len());
-    for (o, &e) in data.iter_mut().zip(x.as_slice()) {
-        *o = alpha * e + E::ZERO;
+    let mut finite = true;
+    for (o, &v) in data.iter_mut().zip(x.as_slice()) {
+        finite &= v.is_finite();
+        *o = E::from_f64(v);
     }
-    Plane::from_vec(x.rows(), x.cols(), data)
-}
-
-/// Workspace-fed matrix product on the runtime kernels; shape errors
-/// surface as the runtime's typed error rendered to the engine's
-/// error-string convention (never a panic on the inference path).
-fn matmul_ws<E: Element>(
-    a: PlaneRef<'_, E>,
-    b: PlaneRef<'_, E>,
-    backend: &dyn Backend<E>,
-    ws: &mut Workspace<E>,
-) -> Result<Plane<E>, String> {
-    if a.cols != b.rows {
-        return Err(RuntimeError::ShapeMismatch {
-            op: "matmul",
-            lhs: (a.rows, a.cols),
-            rhs: (b.rows, b.cols),
-        }
-        .to_string());
+    if require_finite && !finite {
+        ws.give(data);
+        return Err(PredictError::BadRequest(
+            "non-finite features (the f32 path requires finite input)".to_string(),
+        ));
     }
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    let mut data = ws.take(m * n);
-    backend.matmul(a.data, b.data, &mut data, m, k, n);
-    Ok(Plane::from_vec(m, n, data))
-}
-
-/// Fused `x·W + b` (bias broadcast over rows), workspace-fed — the
-/// matmul and the bias add happen in the same order the tape's
-/// separate ops used, so values match bit-for-bit.
-fn matmul_add_bias_ws<E: Element>(
-    x: PlaneRef<'_, E>,
-    w: PlaneRef<'_, E>,
-    b: PlaneRef<'_, E>,
-    backend: &dyn Backend<E>,
-    ws: &mut Workspace<E>,
-) -> Result<Plane<E>, String> {
-    if x.cols != w.rows {
-        return Err(RuntimeError::ShapeMismatch {
-            op: "matmul",
-            lhs: (x.rows, x.cols),
-            rhs: (w.rows, w.cols),
-        }
-        .to_string());
-    }
-    if b.rows != 1 || b.cols != w.cols {
-        return Err(RuntimeError::ShapeMismatch {
-            op: "add_bias",
-            lhs: (x.rows, w.cols),
-            rhs: (b.rows, b.cols),
-        }
-        .to_string());
-    }
-    let (m, k, n) = (x.rows, x.cols, w.cols);
-    let mut data = ws.take(m * n);
-    backend.matmul_add_bias(x.data, w.data, b.data, &mut data, m, k, n);
-    Ok(Plane::from_vec(m, n, data))
-}
-
-/// `Graph::outer_sum` value semantics: `out[i][j] = u[i] + v[j]`.
-fn outer_sum_ws<E: Element>(u: &Plane<E>, v: &Plane<E>, ws: &mut Workspace<E>) -> Plane<E> {
-    debug_assert_eq!(u.cols(), 1, "outer_sum: u must be a column vector");
-    debug_assert_eq!(v.cols(), 1, "outer_sum: v must be a column vector");
-    let (rows, cols) = (u.rows(), v.rows());
-    let mut data = ws.take(rows * cols);
-    for i in 0..rows {
-        for j in 0..cols {
-            data[i * cols + j] = u.as_slice()[i] + v.as_slice()[j];
-        }
-    }
-    Plane::from_vec(rows, cols, data)
-}
-
-/// Horizontal concatenation `[a | b]`, workspace-fed.
-fn hcat_ws<E: Element>(a: &Plane<E>, b: &Plane<E>, ws: &mut Workspace<E>) -> Plane<E> {
-    debug_assert_eq!(a.rows(), b.rows(), "hcat: row mismatch");
-    let (rows, ac, bc) = (a.rows(), a.cols(), b.cols());
-    let mut data = ws.take(rows * (ac + bc));
-    for r in 0..rows {
-        data[r * (ac + bc)..r * (ac + bc) + ac].copy_from_slice(a.row(r));
-        data[r * (ac + bc) + ac..(r + 1) * (ac + bc)].copy_from_slice(b.row(r));
-    }
-    Plane::from_vec(rows, ac + bc, data)
-}
-
-/// One attention head, value-only (`GatHead::forward` minus the tape).
-fn gat_head_forward_ws<E: Element>(
-    head: &PlanGatHead<E>,
-    x: &Plane<E>,
-    mask: &Plane<E>,
-    leaky_slope: E,
-    backend: &dyn Backend<E>,
-    ws: &mut Workspace<E>,
-) -> Result<Plane<E>, String> {
-    let wx = matmul_ws(x.view(), head.w.view(), backend, ws)?;
-    let s_l = matmul_ws(wx.view(), head.a_left.view(), backend, ws)?;
-    let s_r = matmul_ws(wx.view(), head.a_right.view(), backend, ws)?;
-    let mut logits = outer_sum_ws(&s_l, &s_r, ws);
-    ws.give(s_l.into_vec());
-    ws.give(s_r.into_vec());
-    leaky_relu_in_place(&mut logits, leaky_slope);
-    let mut attn_data = ws.take(logits.len());
-    backend.masked_softmax_rows(
-        logits.as_slice(),
-        mask.as_slice(),
-        &mut attn_data,
-        logits.rows(),
-        logits.cols(),
-    );
-    let attn = Plane::from_vec(logits.rows(), logits.cols(), attn_data);
-    ws.give(logits.into_vec());
-    let out = matmul_ws(attn.view(), wx.view(), backend, ws)?;
-    ws.give(attn.into_vec());
-    ws.give(wx.into_vec());
-    Ok(out)
-}
-
-/// One GAT layer, value-only (`GatLayer::forward` minus the tape).
-/// A zero-head layer is a corrupt artifact, reported as an error.
-fn gat_layer_forward_ws<E: Element>(
-    layer: &PlanGatLayer<E>,
-    x: &Plane<E>,
-    mask: &Plane<E>,
-    backend: &dyn Backend<E>,
-    ws: &mut Workspace<E>,
-) -> Result<Plane<E>, String> {
-    let mut out: Option<Plane<E>> = None;
-    for head in &layer.heads {
-        let mut h = gat_head_forward_ws(head, x, mask, layer.leaky_slope, backend, ws)?;
-        relu_in_place(&mut h);
-        out = Some(match out {
-            None => h,
-            Some(acc) => {
-                let cat = hcat_ws(&acc, &h, ws);
-                ws.give(acc.into_vec());
-                ws.give(h.into_vec());
-                cat
-            }
-        });
-    }
-    out.ok_or_else(|| "gat layer has no heads (corrupt snapshot)".to_string())
+    let input = Plane::from_vec(x.rows(), x.cols(), data);
+    let out =
+        forward(&mut WsOps { backend, ws, mask: &plan.mask, deadline }, &plan.weights, &input);
+    ws.give(input.into_vec());
+    out.map_err(PredictError::from)
 }
 
 /// Convenience: sanity-check an engine against a snapshot's own
@@ -878,6 +623,24 @@ mod tests {
             .predict_batch_deadline(&fx.artifact.reference_features, &Seq, &mut ws, None)
             .unwrap_err();
         assert!(err.is_engine_failure(), "{err}");
+    }
+
+    #[test]
+    fn shape_inconsistent_artifacts_are_refused_at_load() {
+        let fx = trained_fixture(77);
+        let m = fx.artifact.slave_weights.cols();
+        let mut narrowed = fx.artifact.clone();
+        let last = narrowed.snapshot.gen.last_mut().expect("generator layers");
+        last.w = Matrix::zeros(last.w.rows(), m - 1);
+        last.b = Matrix::zeros(1, m - 1);
+        let mut headless = fx.artifact.clone();
+        headless.snapshot.gat[0].heads.clear();
+        let mut short_beta_c = fx.artifact.clone();
+        short_beta_c.snapshot.beta_c = Matrix::zeros(m - 1, 1);
+        for artifact in [narrowed, headless, short_beta_c] {
+            let err = Engine::new(artifact).unwrap_err();
+            assert!(err.contains("layer shapes do not chain"), "{err}");
+        }
     }
 
     #[test]

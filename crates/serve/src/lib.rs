@@ -8,9 +8,12 @@
 //!   (weights, anchored LR, materialized per-company slave weights,
 //!   standardization stats, CSR correlation graph, provenance), with
 //!   the format version checked on load;
-//! * [`engine`] — [`Engine`], a tape-free forward-only scorer: the
-//!   exact arithmetic of `AmsModel::predict` on plain matrices, with a
-//!   single-company dot-product fast path;
+//! * [`engine`] — [`Engine`], a tape-free forward-only scorer: the one
+//!   forward pass of `AmsModel::predict`, run value-only on workspace
+//!   buffers in f64 (bit-exact) or f32, with a single-company
+//!   dot-product fast path;
+//! * [`plan`] — [`ForwardPlan`], the weights frozen per precision at
+//!   load, after a check that the layer shapes chain;
 //! * [`registry`] — [`Registry`], named + versioned engines with
 //!   atomic hot-swap under live traffic, checksum-verified file
 //!   publishes, and a per-name circuit breaker;
@@ -42,12 +45,13 @@ pub mod plan;
 pub mod registry;
 pub mod server;
 
+pub use ams_core::Plane;
 pub use artifact::{FallbackModel, ModelArtifact, Provenance, ARTIFACT_MAGIC, FORMAT_VERSION};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use engine::{Engine, PredictError};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use net::{JsonlConn, Timeouts};
-pub use plan::{ForwardPlan, Plane, PlaneRef};
+pub use plan::ForwardPlan;
 pub use registry::Registry;
 pub use server::{Server, ServerConfig};
 

@@ -1,14 +1,9 @@
 //! Property tests for the f32 quantization path (DESIGN.md §14):
-//!
-//! * quantize → predict stays within the documented epsilon of the f64
-//!   batch path, on randomly perturbed models *and* random inputs —
-//!   not just the one artifact the unit tests pin;
-//! * decoding a truncated or bit-flipped serialized f32 plan returns
-//!   `Err` (or a valid plan, for flips that land in payload floats) —
-//!   it never panics and never aborts on a forged allocation.
+//! quantize → predict stays within the documented epsilon of the f64
+//! batch path, on randomly perturbed models *and* random inputs — not
+//! just the one artifact the unit tests pin.
 
 use ams_serve::demo::train_demo;
-use ams_serve::plan::ForwardPlan;
 use ams_serve::{Engine, ModelArtifact};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -60,49 +55,4 @@ proptest! {
             );
         }
     }
-
-    /// A serialized plan, truncated at a random point and with a
-    /// random byte flipped, decodes to `Err` or a valid plan — never a
-    /// panic. (Flips in the float payload can legally decode.)
-    #[test]
-    fn corrupt_plan_bytes_never_panic(
-        cut in 0usize..4096,
-        flip_at in 0usize..4096,
-        flip_bits in 1i32..256,
-    ) {
-        let plan: ForwardPlan<f32> =
-            ForwardPlan::from_artifact(base_artifact()).expect("quantize");
-        let mut bytes = plan.to_bytes();
-        let cut = cut.min(bytes.len());
-        bytes.truncate(cut);
-        if !bytes.is_empty() {
-            let at = flip_at % bytes.len();
-            bytes[at] ^= flip_bits as u8;
-        }
-        // The property is totality: decode returns, whatever the bytes.
-        // (A flip in a length field plus a lucky truncation point could
-        // in principle still parse, so we assert "no panic", not Err.)
-        let _ = ForwardPlan::from_bytes(&bytes);
-    }
-}
-
-/// Quantize → serialize → decode → predict: the decoded plan is the
-/// plan the engine scores with, end to end.
-#[test]
-fn decoded_plan_predicts_identically_to_in_memory_plan() {
-    let artifact = base_artifact().clone();
-    let engine = Engine::new(artifact.clone()).unwrap();
-    let bytes = artifact.quantize_f32().unwrap().to_bytes();
-    let decoded = ForwardPlan::from_bytes(&bytes).unwrap();
-    // Same weights bit-for-bit → the engine's f32 path with its own
-    // plan is the ground truth for the decoded copy.
-    let in_memory = engine.plan_f32();
-    assert_eq!(decoded.width, in_memory.width);
-    assert_eq!(decoded.companies, in_memory.companies);
-    assert_eq!(decoded.nt.len(), in_memory.nt.len());
-    for (a, b) in decoded.nt.iter().zip(&in_memory.nt) {
-        assert_eq!(a.w.as_slice(), b.w.as_slice());
-        assert_eq!(a.b.as_slice(), b.b.as_slice());
-    }
-    assert_eq!(decoded.mask.as_slice(), in_memory.mask.as_slice());
 }

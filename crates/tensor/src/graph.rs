@@ -367,11 +367,19 @@ impl Graph {
     /// Horizontal concatenation (multi-head attention outputs, Eq. 3).
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat_cols: empty input list");
-        let mut v = self.value(parts[0]).clone();
-        for p in &parts[1..] {
-            v = v.hcat(self.value(*p));
+        let rows = self.nodes[parts[0].0].value.rows();
+        let cols: usize = parts.iter().map(|p| self.nodes[p.0].value.cols()).sum();
+        let mut data = self.ws.take(rows * cols);
+        let mut offset = 0;
+        for p in parts {
+            let part = &self.nodes[p.0].value;
+            assert_eq!(part.rows(), rows, "hcat: row mismatch");
+            for (r, out) in data.chunks_exact_mut(cols.max(1)).enumerate() {
+                out[offset..offset + part.cols()].copy_from_slice(part.row(r));
+            }
+            offset += part.cols();
         }
-        self.push(Op::ConcatCols(parts.to_vec()), v)
+        self.push(Op::ConcatCols(parts.to_vec()), Matrix::from_vec(rows, cols, data))
     }
 
     /// Sum of all elements → 1×1.
