@@ -112,8 +112,8 @@ mod tests {
     #[test]
     fn chain_renders_ops_and_leaf_shapes() {
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(4, 3));
-        let w = g.input(Matrix::ones(3, 2));
+        let x = g.input(&Matrix::ones(4, 3));
+        let w = g.input(&Matrix::ones(3, 2));
         let y = g.matmul(x, w);
         let r = g.relu(y);
         let chain = describe_chain(&g.plan(), r.index());
@@ -125,10 +125,10 @@ mod tests {
     #[test]
     fn full_pipeline_over_a_clean_training_graph() {
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(4, 3));
-        let w = g.input(Matrix::ones(3, 1));
+        let x = g.input(&Matrix::ones(4, 3));
+        let w = g.input(&Matrix::ones(3, 1));
         let y = g.matmul(x, w);
-        let target = g.input(Matrix::ones(4, 1));
+        let target = g.input(&Matrix::ones(4, 1));
         let loss = g.mse(y, target);
         let audit = PlanAudit {
             plan: g.plan(),
@@ -142,9 +142,9 @@ mod tests {
     #[test]
     fn full_pipeline_flags_a_detached_param_as_error() {
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(4, 3));
-        let w = g.input(Matrix::ones(3, 1));
-        let dead_w = g.input(Matrix::ones(3, 1));
+        let x = g.input(&Matrix::ones(4, 3));
+        let w = g.input(&Matrix::ones(3, 1));
+        let dead_w = g.input(&Matrix::ones(3, 1));
         let y = g.matmul(x, w);
         let loss = g.sq_frobenius(y);
         let audit = PlanAudit {

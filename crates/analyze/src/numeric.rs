@@ -120,6 +120,7 @@ mod tests {
     use super::*;
     use crate::shape::check_shapes;
     use ams_tensor::{Graph, Matrix, Plan};
+    use std::rc::Rc;
 
     fn analyze(plan: &Plan) -> Vec<Diagnostic> {
         let shapes = check_shapes(plan).shapes;
@@ -129,8 +130,8 @@ mod tests {
     #[test]
     fn unclamped_log_and_div_warn_clamped_pass() {
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(2, 2));
-        let y = g.input(Matrix::ones(2, 2));
+        let x = g.input(&Matrix::ones(2, 2));
+        let y = g.input(&Matrix::ones(2, 2));
         let q = g.div(x, y); // unclamped denominator
         let _l = g.log(q); // unclamped log
         let diags = analyze(&g.plan());
@@ -139,8 +140,8 @@ mod tests {
         assert!(diags.iter().any(|d| d.rule == "unclamped-div"));
 
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(2, 2));
-        let y = g.input(Matrix::ones(2, 2));
+        let x = g.input(&Matrix::ones(2, 2));
+        let y = g.input(&Matrix::ones(2, 2));
         let safe = g.clamp_min(y, 1e-9);
         let q = g.div(x, safe);
         let qc = g.clamp_min(q, 1e-9);
@@ -162,8 +163,8 @@ mod tests {
     #[test]
     fn isolated_softmax_rows_are_informational() {
         let mut g = Graph::new();
-        let x = g.input(Matrix::zeros(2, 2));
-        let mask = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 0.0]]);
+        let x = g.input(&Matrix::zeros(2, 2));
+        let mask = Rc::new(Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 0.0]]));
         let _s = g.masked_softmax_rows(x, &mask);
         let diags = analyze(&g.plan());
         assert_eq!(diags.len(), 1);

@@ -315,6 +315,7 @@ fn pair_json((a, b): (usize, usize)) -> Value {
 mod tests {
     use super::*;
     use ams_tensor::{Graph, Matrix};
+    use std::rc::Rc;
 
     #[test]
     fn parses_a_minimal_training_spec() {
@@ -350,12 +351,12 @@ mod tests {
     #[test]
     fn real_tape_round_trips_through_the_spec_format() {
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(3, 2));
-        let w = g.input(Matrix::ones(2, 1));
+        let x = g.input(&Matrix::ones(3, 2));
+        let w = g.input(&Matrix::ones(2, 1));
         let y = g.matmul(x, w);
         let s = g.sigmoid(y);
-        let mask = Matrix::ones(3, 3);
-        let logits = g.input(Matrix::zeros(3, 3));
+        let mask = Rc::new(Matrix::ones(3, 3));
+        let logits = g.input(&Matrix::zeros(3, 3));
         let _att = g.masked_softmax_rows(logits, &mask);
         let loss = g.sq_frobenius(s);
         let audit = crate::PlanAudit {

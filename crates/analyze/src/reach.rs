@@ -186,15 +186,16 @@ pub fn check_duplicates(plan: &Plan) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use ams_tensor::{Graph, Matrix};
+    use std::rc::Rc;
 
     #[test]
     fn attached_params_pass_detached_param_fails() {
         // w1 feeds the loss; w2 is recorded on the tape but never used
         // by it — the reachability pass must name w2 and only w2.
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(2, 3));
-        let w1 = g.input(Matrix::ones(3, 1));
-        let w2 = g.input(Matrix::ones(3, 1));
+        let x = g.input(&Matrix::ones(2, 3));
+        let w1 = g.input(&Matrix::ones(3, 1));
+        let w2 = g.input(&Matrix::ones(3, 1));
         let y = g.matmul(x, w1);
         let loss = g.sq_frobenius(y);
         let plan = g.plan();
@@ -212,7 +213,7 @@ mod tests {
     #[test]
     fn dead_node_found_duplicates_found() {
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(2, 2));
+        let x = g.input(&Matrix::ones(2, 2));
         let t1 = g.transpose(x);
         let t2 = g.transpose(x); // duplicate of t1
         let s = g.add(t1, t2);
@@ -233,9 +234,9 @@ mod tests {
         // Same input, different masks — the plan only records shapes,
         // so claiming these are duplicates would be wrong.
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(2, 2));
-        let m1 = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0]]);
-        let m2 = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 1.0]]);
+        let x = g.input(&Matrix::ones(2, 2));
+        let m1 = Rc::new(Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0]]));
+        let m2 = Rc::new(Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 1.0]]));
         let _d1 = g.dropout(x, &m1);
         let _d2 = g.dropout(x, &m2);
         assert!(check_duplicates(&g.plan()).is_empty());
@@ -246,7 +247,7 @@ mod tests {
         // b duplicates a; c = tanh(b) duplicates d = tanh(a) because b
         // canonicalizes to a.
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(2, 2));
+        let x = g.input(&Matrix::ones(2, 2));
         let a = g.relu(x);
         let b = g.relu(x);
         let _d = g.tanh(a);

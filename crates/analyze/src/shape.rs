@@ -281,10 +281,10 @@ mod tests {
     #[test]
     fn clean_recorded_tape_has_no_findings() {
         let mut g = Graph::new();
-        let x = g.input(Matrix::ones(4, 3));
-        let w = g.input(Matrix::ones(3, 2));
+        let x = g.input(&Matrix::ones(4, 3));
+        let w = g.input(&Matrix::ones(3, 2));
         let y = g.matmul(x, w);
-        let b = g.input(Matrix::ones(1, 2));
+        let b = g.input(&Matrix::ones(1, 2));
         let z = g.add_row_broadcast(y, b);
         let r = g.relu(z);
         let _ = g.sq_frobenius(r);

@@ -262,46 +262,80 @@ pub fn taint_files(
 }
 
 /// Taint-audit every *production* workspace source under `root`
-/// against the `taint.toml` at `config`. Integration tests and
-/// benches are excluded: they forge inputs on purpose (corruption
-/// fixtures, synthetic loads) and none of their code ships.
+/// against the `taint.toml` at `config`. Integration tests, benches
+/// and the `perfbench/` benchmark workspace are excluded: they forge
+/// inputs on purpose (corruption fixtures, synthetic loads) and none
+/// of their code ships.
 pub fn taint_workspace(root: &Path, config: &Path) -> Result<(Report, TaintStats), String> {
     let text = std::fs::read_to_string(config)
         .map_err(|e| format!("cannot read {}: {e}", config.display()))?;
     let cfg = config::parse(&text)?;
     let mut paths = workspace_sources(root)?;
-    paths.retain(|p| {
-        let s = p.to_string_lossy().replace('\\', "/");
-        !s.contains("/tests/") && !s.contains("/benches/")
-    });
+    paths.retain(|p| ships(p.strip_prefix(root).unwrap_or(p)));
     taint_files(root, &paths, &cfg)
+}
+
+/// Whether the source at `rel` (relative to the workspace root) is
+/// production code.
+fn ships(rel: &Path) -> bool {
+    let s = format!("/{}", rel.to_string_lossy().replace('\\', "/"));
+    !s.starts_with("/perfbench/") && !s.contains("/tests/") && !s.contains("/benches/")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const CFG: &str = "[[source]]\n\
+                       name = \"read_line\"\n\
+                       token = \".read_line(\"\n\
+                       \n\
+                       [[sink]]\n\
+                       rule = \"tainted-alloc\"\n\
+                       token = \"Vec::with_capacity(\"\n\
+                       \n\
+                       [[sanitizer]]\n\
+                       token = \".min(\"\n\
+                       \n\
+                       [limits]\n\
+                       names = [\"MAX_\"]\n";
+
     fn cfg() -> TaintConfig {
-        config::parse(
-            "[[source]]\n\
-             name = \"read_line\"\n\
-             token = \".read_line(\"\n\
-             \n\
-             [[sink]]\n\
-             rule = \"tainted-alloc\"\n\
-             token = \"Vec::with_capacity(\"\n\
-             \n\
-             [[sanitizer]]\n\
-             token = \".min(\"\n\
-             \n\
-             [limits]\n\
-             names = [\"MAX_\"]\n",
-        )
-        .unwrap()
+        config::parse(CFG).unwrap()
     }
 
     fn run(src: &str) -> (Report, TaintStats) {
         taint_sources(&[("crates/x/src/a.rs".to_string(), src.to_string())], &cfg())
+    }
+
+    #[test]
+    fn the_workspace_scan_skips_perfbench_but_not_crates() {
+        // The same unsanitized flow in the benchmark workspace and in a
+        // shipped crate: only the crate's copy is reported.
+        let flow = |name: &str| {
+            format!(
+                "fn {name}(r: &mut Reader) -> usize {{\n\
+                 \x20   let mut line = String::new();\n\
+                 \x20   let n = r.read_line(&mut line);\n\
+                 \x20   let v: Vec<u8> = Vec::with_capacity(n);\n\
+                 \x20   v.len()\n\
+                 }}\n"
+            )
+        };
+        let root = std::env::temp_dir().join(format!("ams-taint-scope-{}", std::process::id()));
+        for (dir, name) in [("perfbench/src", "bench_load"), ("crates/x/src", "shipped_load")] {
+            std::fs::create_dir_all(root.join(dir)).unwrap();
+            std::fs::write(root.join(dir).join("a.rs"), flow(name)).unwrap();
+        }
+        let config = root.join("taint.toml");
+        std::fs::write(&config, CFG).unwrap();
+        let scanned = taint_workspace(&root, &config);
+        let _ = std::fs::remove_dir_all(&root);
+        let (report, stats) = scanned.unwrap();
+        let text = report.render_text();
+        assert_eq!(stats.violations, 1, "{text}");
+        assert!(text.contains("shipped_load (crates/x/src/a.rs:4)"), "{text}");
+        assert!(!text.contains("perfbench/"), "{text}");
     }
 
     #[test]

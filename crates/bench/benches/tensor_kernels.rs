@@ -2,6 +2,8 @@
 //! direct solvers behind the anchored LR, and a full GAT-layer
 //! forward+backward at the workloads' actual sizes (n = 71 companies).
 
+use std::rc::Rc;
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ams_graph::{CompanyGraph, GraphConfig};
@@ -40,8 +42,8 @@ fn bench_gat_layer(c: &mut Criterion) {
     use ams_tensor::Var;
 
     /// The layer recorded on the tape, its parameters as fresh leaves.
-    fn record(g: &mut Graph, layer: &GatLayer, x: Var, mask: &Matrix) -> Var {
-        let weights = layer.weights(|m| g.input(m.clone()));
+    fn record(g: &mut Graph, layer: &GatLayer, x: Var, mask: &Rc<Matrix>) -> Var {
+        let weights = layer.weights(|m| g.input(m));
         let ops = &mut TapeOps { g, mask, dropout: None };
         gat_layer(ops, &weights, x).unwrap_or_else(|never| match never {})
     }
@@ -53,12 +55,12 @@ fn bench_gat_layer(c: &mut Criterion) {
     let series: Vec<Vec<f64>> =
         (0..n).map(|i| (0..12).map(|t| ((i * 7 + t * 13) % 29) as f64).collect()).collect();
     let graph = CompanyGraph::from_series(&series, GraphConfig::default());
-    let mask = Matrix::from_vec(n, n, graph.dense_mask());
+    let mask = Rc::new(Matrix::from_vec(n, n, graph.dense_mask()));
 
     c.bench_function("gat_layer_forward_71x48_4heads", |b| {
         b.iter(|| {
             let mut g = Graph::new();
-            let x = g.input(x0.clone());
+            let x = g.input(&x0);
             black_box(record(&mut g, &layer, x, &mask));
         });
     });
@@ -66,7 +68,7 @@ fn bench_gat_layer(c: &mut Criterion) {
     c.bench_function("gat_layer_forward_backward_71x48_4heads", |b| {
         b.iter(|| {
             let mut g = Graph::new();
-            let x = g.input(x0.clone());
+            let x = g.input(&x0);
             let y = record(&mut g, &layer, x, &mask);
             let loss = g.sq_frobenius(y);
             black_box(g.backward(loss));

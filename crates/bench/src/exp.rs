@@ -5,7 +5,9 @@
 //! results are bit-reproducible and Tables I/II/IV/V all describe the
 //! same underlying CV runs. CV outputs are cached as JSON under
 //! `results/` (override with `AMS_RESULTS_DIR`) because several tables
-//! reuse them.
+//! reuse them; each cached file carries a fingerprint of the model
+//! configuration, evaluation options and panel that produced it, and a
+//! file whose fingerprint does not match is recomputed, not read.
 
 use std::fs;
 use std::path::PathBuf;
@@ -83,8 +85,10 @@ fn cache_path(dataset: Dataset, model: &str, drop_alt: bool, seed: u64) -> PathB
     ))
 }
 
-/// Run one model on a dataset with JSON caching. Delete `results/` to
-/// force recomputation.
+/// Run one model on a dataset with JSON caching. A cached result is
+/// reused only when it was produced by the same model configuration,
+/// evaluation options and panel (see `fingerprint`); delete
+/// `results/` to force recomputation anyway.
 pub fn run_cached(dataset: Dataset, panel: &Panel, kind: &ModelKind, drop_alt: bool) -> CvResult {
     run_cached_seed(dataset, panel, kind, drop_alt, DATA_SEED)
 }
@@ -98,18 +102,43 @@ pub fn run_cached_seed(
     seed: u64,
 ) -> CvResult {
     let path = cache_path(dataset, &kind.name(), drop_alt, seed);
+    let opts = EvalOptions { drop_alternative: drop_alt, ..EvalOptions::paper_for(panel) };
+    let fingerprint = fingerprint(panel, kind, &opts);
     if let Ok(bytes) = fs::read(&path) {
-        if let Ok(cv) = serde_json::from_slice::<CvResult>(&bytes) {
-            return cv;
+        if let Ok(cached) = serde_json::from_slice::<CachedCv>(&bytes) {
+            if cached.fingerprint == fingerprint {
+                return cached.result;
+            }
         }
     }
-    let opts = EvalOptions { drop_alternative: drop_alt, ..EvalOptions::paper_for(panel) };
-    let cv = run_model(panel, kind, &opts);
+    let cached = CachedCv { fingerprint, result: run_model(panel, kind, &opts) };
     if let Some(parent) = path.parent() {
         let _ = fs::create_dir_all(parent);
     }
-    let _ = fs::write(&path, serde_json::to_vec_pretty(&cv).expect("serialize CvResult"));
-    cv
+    let _ = fs::write(&path, serde_json::to_vec_pretty(&cached).expect("serialize CvResult"));
+    cached.result
+}
+
+/// A cached CV result and the fingerprint of what produced it.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct CachedCv {
+    fingerprint: String,
+    result: CvResult,
+}
+
+/// FNV-1a digest of everything a CV result depends on: the model's
+/// full configuration, the evaluation options and the panel. The cache
+/// file is named after the model only (`AMS` is `AMS` at any epoch
+/// count), so this is what tells a cache written by another
+/// configuration from a usable one.
+fn fingerprint(panel: &Panel, kind: &ModelKind, opts: &EvalOptions) -> String {
+    let panel_json = serde_json::to_vec(panel).expect("serialize Panel");
+    let parts = [format!("{kind:?}").into_bytes(), format!("{opts:?}").into_bytes(), panel_json];
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in parts.iter().flat_map(|p| p.iter().chain(&[0u8])) {
+        h = (h ^ u64::from(*byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    format!("{h:016x}")
 }
 
 /// The full Table I/II lineup for a dataset, cached, averaged over
@@ -371,6 +400,39 @@ mod tests {
         // Shorter series leaves the trailing cell empty.
         assert!(lines[3].ends_with(','));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_changed_config_is_recomputed_and_a_matching_one_is_read() {
+        let dir = std::env::temp_dir().join(format!("ams_exp_cache_{}", std::process::id()));
+        std::env::set_var("AMS_RESULTS_DIR", &dir);
+        let panel = ams_data::generate(&ams_data::SynthConfig::tiny(3)).panel;
+        // Both are named "Ridge", so they share one cache file.
+        let loose = ModelKind::Ridge { lambda: 1e-3 };
+        let tight = ModelKind::Ridge { lambda: 1e3 };
+        let first = run_cached_seed(Dataset::Transaction, &panel, &loose, false, 3);
+        let second = run_cached_seed(Dataset::Transaction, &panel, &tight, false, 3);
+        let fresh = run_model(&panel, &tight, &EvalOptions::paper_for(&panel));
+
+        // A matching fingerprint is still a cache hit: plant a marker
+        // in the stored result and read it back.
+        let path = cache_path(Dataset::Transaction, "Ridge", false, 3);
+        let mut cached: CachedCv = serde_json::from_slice(&fs::read(&path).unwrap()).unwrap();
+        cached.result.per_quarter[0].ba = -1.0;
+        fs::write(&path, serde_json::to_vec(&cached).unwrap()).unwrap();
+        let third = run_cached_seed(Dataset::Transaction, &panel, &tight, false, 3);
+        std::env::remove_var("AMS_RESULTS_DIR");
+        let _ = fs::remove_dir_all(&dir);
+
+        let bits = |cv: &CvResult| -> Vec<u64> {
+            cv.per_quarter
+                .iter()
+                .flat_map(|q| q.preds.iter().map(|p| p.pred_ur.to_bits()))
+                .collect()
+        };
+        assert_ne!(bits(&first), bits(&fresh), "the two configs must predict differently");
+        assert_eq!(bits(&second), bits(&fresh), "the changed config must be recomputed");
+        assert_eq!(third.per_quarter[0].ba, -1.0, "a matching cache must be read");
     }
 
     #[test]

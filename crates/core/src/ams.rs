@@ -19,6 +19,7 @@ use ams_tensor::runtime::{Backend, BackendChoice};
 use ams_tensor::{ridge_solve, Adam, AdamState, Graph, Matrix, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::checkpoint::{self, CheckpointConfig, FitHalted, TrainCheckpoint};
@@ -322,7 +323,7 @@ impl AmsModel {
     /// projection.
     fn weight_vars(&self, g: &mut Graph, param_vars: &[Var], d: usize) -> Weights<Var> {
         let selection =
-            self.config.slave_cols.as_ref().map(|cols| g.input(slave_selection(cols, d)));
+            self.config.slave_cols.as_ref().map(|cols| g.input(&slave_selection(cols, d)));
         let mut vars = param_vars.iter().copied();
         Weights::new(&self.config, &self.nt, &self.gat, &self.gen, &self.beta_c, selection, |_| {
             vars.next().expect("one var per parameter")
@@ -330,14 +331,15 @@ impl AmsModel {
     }
 
     /// Validate fit inputs and return `(feature width, dense mask)`.
-    fn check_fit_inputs(graph: &CompanyGraph, train: &[QuarterBatch]) -> (usize, Matrix) {
+    /// The mask is shared by every softmax node of the training tape.
+    fn check_fit_inputs(graph: &CompanyGraph, train: &[QuarterBatch]) -> (usize, Rc<Matrix>) {
         assert!(!train.is_empty(), "AMS fit: no training quarters");
         let n_nodes = graph.num_nodes();
         for b in train {
             assert_eq!(b.x.rows(), n_nodes, "AMS fit: batch rows != graph nodes");
             assert_eq!(b.y.rows(), n_nodes, "AMS fit: label rows != graph nodes");
         }
-        (train[0].x.cols(), Matrix::from_vec(n_nodes, n_nodes, graph.dense_mask()))
+        (train[0].x.cols(), Rc::new(Matrix::from_vec(n_nodes, n_nodes, graph.dense_mask())))
     }
 
     /// Phase 1: the anchored LR on all training samples (Eq. 5), in
@@ -367,22 +369,22 @@ impl AmsModel {
         &self,
         g: &mut Graph,
         train: &[QuarterBatch],
-        mask: &Matrix,
+        mask: &Rc<Matrix>,
         b_acr: &Matrix,
         params: &[Matrix],
         mut rng: Option<&mut StdRng>,
     ) -> (Vec<Var>, Var) {
         let total_n: usize = train.iter().map(|b| b.x.rows()).sum();
         let n_weight_slots = self.l2_slots();
-        let param_vars: Vec<Var> = params.iter().map(|p| g.input(p.clone())).collect();
-        let b_acr_rowvar = g.input(b_acr.t()); // 1×d, broadcast target
+        let param_vars: Vec<Var> = params.iter().map(|p| g.input(p)).collect();
+        let b_acr_rowvar = g.input(&b_acr.t()); // 1×d, broadcast target
         let weights = self.weight_vars(g, &param_vars, train[0].x.cols());
 
         let mut data_term: Option<Var> = None;
         let mut slg_term: Option<Var> = None;
         for batch in train {
-            let x = g.input(batch.x.clone());
-            let y = g.input(batch.y.clone());
+            let x = g.input(&batch.x);
+            let y = g.input(&batch.y);
             let dropout = rng.as_deref_mut().map(|r| (self.config.dropout, r));
             let Outputs { pred, beta_v, .. } =
                 TapeOps { g: &mut *g, mask, dropout }.run(&weights, x);
@@ -395,7 +397,7 @@ impl AmsModel {
             // ‖β_v(X_i) − B_acr‖² summed over companies: subtract the
             // broadcast anchored row from every generated row.
             let n = batch.x.rows();
-            let ones = g.input(Matrix::ones(n, 1));
+            let ones = g.input(&Matrix::ones(n, 1));
             let acr_rows = g.matmul(ones, b_acr_rowvar);
             let dv = g.sub(beta_v, acr_rows);
             let sqv = g.sq_frobenius(dv);
@@ -601,7 +603,7 @@ impl AmsModel {
         // selection state from the checkpoint instead.)
         if let (0, Some(vb)) = (start_epoch, val) {
             self.store_params(&params);
-            self.mask = Some(mask.clone());
+            self.mask = Some(Matrix::clone(&mask));
             let pred = self.predict(&vb.x);
             let vmse = pred.sub(&vb.y).sq_frobenius() / pred.len() as f64;
             best = Some((vmse, params.clone()));
@@ -635,10 +637,11 @@ impl AmsModel {
             );
         }
 
-        // One tape for the whole fit: `reset` drains each epoch's nodes
-        // back into the graph's workspace arena, so after the first
-        // epoch the forward pass runs on recycled buffers instead of
-        // fresh allocations. Bit-exactness is unaffected — the kernels
+        // One tape for the whole fit: every buffer an epoch records,
+        // forward and backward, comes from the graph's workspace arena
+        // and `reset` hands it back, so after the first epoch training
+        // runs on recycled buffers and its memory does not grow with
+        // the epoch count. Bit-exactness is unaffected — the kernels
         // and accumulation order are identical either way.
         let mut g = Graph::with_backend(Arc::clone(&self.backend));
         for epoch in start_epoch..self.config.epochs {
@@ -646,13 +649,16 @@ impl AmsModel {
             let (param_vars, loss) =
                 self.build_training_graph(&mut g, train, &mask, &b_acr, &params, Some(&mut rng));
             let grads = g.backward(loss);
-            let grad_mats: Vec<Matrix> = param_vars.iter().map(|&v| grads.get(v)).collect();
-            adam.step(&mut params, &grad_mats);
+            let grad_refs: Vec<&Matrix> = param_vars
+                .iter()
+                .map(|&v| grads.get_ref(v).expect("every AMS parameter reaches the loss"))
+                .collect();
+            adam.step(&mut params, &grad_refs);
 
             if let Some(vb) = val {
                 if (epoch + 1) % VAL_EVERY == 0 || epoch + 1 == self.config.epochs {
                     self.store_params(&params);
-                    self.mask = Some(mask.clone());
+                    self.mask = Some(Matrix::clone(&mask));
                     let pred = self.predict(&vb.x);
                     let vmse = pred.sub(&vb.y).sq_frobenius() / pred.len() as f64;
                     if best.as_ref().is_none_or(|(b, _)| vmse < *b) {
@@ -698,7 +704,7 @@ impl AmsModel {
         } else {
             self.store_params(&params);
         }
-        self.mask = Some(mask);
+        self.mask = Some(Matrix::clone(&mask));
         Ok(best_val)
     }
 
@@ -752,14 +758,14 @@ impl AmsModel {
     }
 
     fn run_eval(&self, x: &Matrix) -> (Matrix, Matrix, Matrix) {
-        let mask = self.mask.as_ref().expect("predict before fit");
+        let mask = Rc::new(self.mask.clone().expect("predict before fit"));
         assert_eq!(x.rows(), mask.rows(), "predict: row count != graph nodes");
         let params = self.param_list();
         let mut g = Graph::with_backend(Arc::clone(&self.backend));
-        let xv = g.input(x.clone());
-        let pv: Vec<Var> = params.iter().map(|p| g.input(p.clone())).collect();
+        let xv = g.input(x);
+        let pv: Vec<Var> = params.iter().map(|p| g.input(p)).collect();
         let weights = self.weight_vars(&mut g, &pv, x.cols());
-        let out = TapeOps { g: &mut g, mask, dropout: None }.run(&weights, xv);
+        let out = TapeOps { g: &mut g, mask: &mask, dropout: None }.run(&weights, xv);
         (g.value(out.pred).clone(), g.value(out.beta_v).clone(), g.value(out.beta).clone())
     }
 }
@@ -865,6 +871,48 @@ mod tests {
 
     fn mse(a: &Matrix, b: &Matrix) -> f64 {
         a.sub(b).sq_frobenius() / a.len() as f64
+    }
+
+    #[test]
+    fn training_tape_reaches_a_steady_state() {
+        // The epoch loop of `fit`, dropout on: one tape, reset every
+        // epoch. Once warm, an epoch draws every buffer it records from
+        // the tape's workspace and gives it back, so neither the
+        // allocation count nor the free list grows with the epochs.
+        let task = adaptive_task(8, 4, 75);
+        let mut model = AmsModel::new(AmsConfig { dropout: 0.3, ..Default::default() });
+        // Phase 1 and the phase-2 parameter seeding, exactly as `fit`.
+        let _ = model.training_audit(&task.graph, &task.train);
+        let (_, mask) = AmsModel::check_fit_inputs(&task.graph, &task.train);
+        let b_acr = model.anchored().expect("phase 1 ran").clone();
+        let mut params = model.param_list();
+        let mut adam = Adam::new(1e-2);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut g = Graph::new();
+        let mut per_epoch = Vec::new();
+        for _ in 0..10 {
+            g.reset();
+            let (vars, loss) = model.build_training_graph(
+                &mut g,
+                &task.train,
+                &mask,
+                &b_acr,
+                &params,
+                Some(&mut rng),
+            );
+            let grads = g.backward(loss);
+            let refs: Vec<&Matrix> = vars
+                .iter()
+                .map(|&v| grads.get_ref(v).expect("parameter reaches the loss"))
+                .collect();
+            adam.step(&mut params, &refs);
+            let (allocs, _, pooled) = g.workspace_counters();
+            per_epoch.push((allocs, pooled));
+        }
+        assert!(
+            per_epoch[2..].iter().all(|c| *c == per_epoch[2]),
+            "(allocs, pooled) per epoch: {per_epoch:?}"
+        );
     }
 
     #[test]

@@ -22,6 +22,7 @@ use ams_tensor::init::dropout_mask;
 use ams_tensor::{Graph, Matrix, Var};
 use rand::rngs::StdRng;
 use std::convert::Infallible;
+use std::rc::Rc;
 
 /// One affine layer `x·W + b` (`w` is `in×out`, `b` is `1×out`).
 #[derive(Debug, Clone, PartialEq)]
@@ -310,8 +311,9 @@ pub fn attention_head<H, Er>(
 /// own checks.
 pub struct TapeOps<'a> {
     pub g: &'a mut Graph,
-    /// Dense adjacency mask of the company graph.
-    pub mask: &'a Matrix,
+    /// Dense adjacency mask of the company graph, shared with every
+    /// softmax node the tape records.
+    pub mask: &'a Rc<Matrix>,
     /// Training dropout `(rate, rng)`; `None` at evaluation time.
     pub dropout: Option<(f64, &'a mut StdRng)>,
 }
@@ -363,7 +365,7 @@ impl ForwardOps for TapeOps<'_> {
     }
 
     fn repeat_row(&mut self, like: &Var, v: &Var) -> Result<Var, Infallible> {
-        let ones = self.g.input(Matrix::ones(self.g.value(*like).rows(), 1));
+        let ones = self.g.input(&Matrix::ones(self.g.value(*like).rows(), 1));
         let vt = self.g.transpose(*v);
         Ok(self.g.matmul(ones, vt))
     }
@@ -386,7 +388,7 @@ impl ForwardOps for TapeOps<'_> {
         match &mut self.dropout {
             Some((p, rng)) if *p > 0.0 => {
                 let (rows, cols) = self.g.value(h).shape();
-                let m = dropout_mask(rows, cols, *p, *rng);
+                let m = Rc::new(dropout_mask(rows, cols, *p, *rng));
                 self.g.dropout(h, &m)
             }
             _ => h,

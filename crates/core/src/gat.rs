@@ -109,20 +109,21 @@ mod tests {
     use ams_tensor::{Graph, Var};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::rc::Rc;
 
     /// One GAT layer recorded on the tape, its parameters taken from
     /// `pv` in [`GatLayer::params`] order.
     fn layer_forward(g: &mut Graph, layer: &GatLayer, x: Var, mask: &Matrix, pv: &[Var]) -> Var {
         let mut vars = pv.iter().copied();
         let weights = layer.weights(|_| vars.next().expect("one var per parameter"));
-        let ops = &mut TapeOps { g, mask, dropout: None };
+        let ops = &mut TapeOps { g, mask: &Rc::new(mask.clone()), dropout: None };
         gat_layer(ops, &weights, x).unwrap_or_else(|never| match never {})
     }
 
     /// One raw (pre-activation) head recorded on the tape.
     fn head_forward(g: &mut Graph, x: Var, mask: &Matrix, pv: &[Var]) -> Var {
         let head = Head { w: pv[0], a_left: pv[1], a_right: pv[2] };
-        let ops = &mut TapeOps { g, mask, dropout: None };
+        let ops = &mut TapeOps { g, mask: &Rc::new(mask.clone()), dropout: None };
         attention_head(ops, &head, 0.2, &x).unwrap_or_else(|never| match never {})
     }
 
@@ -152,8 +153,8 @@ mod tests {
         assert_eq!(layer.params().len(), 9);
         let mask = line_graph_mask(5);
         let mut g = Graph::new();
-        let x = g.input(xavier_uniform(5, 6, &mut rng));
-        let pv: Vec<Var> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
+        let x = g.input(&xavier_uniform(5, 6, &mut rng));
+        let pv: Vec<Var> = layer.params().iter().map(|p| g.input(p)).collect();
         let y = layer_forward(&mut g, &layer, x, &mask, &pv);
         assert_eq!(g.value(y).shape(), (5, 12));
     }
@@ -169,8 +170,8 @@ mod tests {
             mask[(3, c)] = 0.0; // node 3 attends to nothing
         }
         let mut g = Graph::new();
-        let x = g.input(xavier_uniform(4, 3, &mut rng));
-        let pv: Vec<Var> = layer.params().iter().map(|p| g.input((*p).clone())).collect();
+        let x = g.input(&xavier_uniform(4, 3, &mut rng));
+        let pv: Vec<Var> = layer.params().iter().map(|p| g.input(p)).collect();
         let y = layer_forward(&mut g, &layer, x, &mask, &pv);
         assert_eq!(g.value(y).row(3), &[0.0, 0.0]);
     }
@@ -187,8 +188,8 @@ mod tests {
 
         let run = |xm: &Matrix| {
             let mut g = Graph::new();
-            let x = g.input(xm.clone());
-            let pv: Vec<Var> = head.params().iter().map(|p| g.input((*p).clone())).collect();
+            let x = g.input(xm);
+            let pv: Vec<Var> = head.params().iter().map(|p| g.input(p)).collect();
             let y = head_forward(&mut g, x, &mask, &pv);
             g.value(y).clone()
         };
@@ -269,8 +270,8 @@ mod tests {
         };
         let x0 = Matrix::from_rows(&[&[1.0, 0.0], &[2.0, 0.0], &[3.0, 0.0], &[4.0, 0.0]]);
         let mut g = Graph::new();
-        let x = g.input(x0);
-        let pv: Vec<Var> = head.params().iter().map(|p| g.input((*p).clone())).collect();
+        let x = g.input(&x0);
+        let pv: Vec<Var> = head.params().iter().map(|p| g.input(p)).collect();
         let y = head_forward(&mut g, x, &mask, &pv);
         let yv = g.value(y);
         // Node 0 neighbours {0, 1}: mean of 1 and 2 = 1.5.

@@ -5,6 +5,8 @@
 //! full-batch with Adam — matching the paper's training protocol
 //! (§IV-C: Adam, dropout on stacked fully connected layers, L2).
 
+use std::rc::Rc;
+
 use ams_tensor::init::{dropout_mask, he_uniform};
 use ams_tensor::{Adam, Graph, Matrix, Var};
 use rand::rngs::StdRng;
@@ -65,7 +67,7 @@ impl Mlp {
     fn forward(&self, g: &mut Graph, x: Var, rng: Option<&mut StdRng>) -> (Var, Vec<Var>) {
         let mut param_vars = Vec::with_capacity(self.params.len());
         for p in &self.params {
-            param_vars.push(g.input(p.clone()));
+            param_vars.push(g.input(p));
         }
         let n_layers = self.params.len() / 2;
         let mut h = x;
@@ -79,7 +81,7 @@ impl Mlp {
                     if let Some(r) = rng.as_deref_mut() {
                         let shape = g.value(h).shape();
                         let mask = dropout_mask(shape.0, shape.1, self.config.dropout, r);
-                        h = g.dropout(h, &mask);
+                        h = g.dropout(h, &Rc::new(mask));
                     }
                 }
             } else {
@@ -97,9 +99,9 @@ impl Regressor for Mlp {
         let mut adam = Adam::new(self.config.lr);
         for _ in 0..self.config.epochs {
             let mut g = Graph::new();
-            let xin = g.input(x.clone());
+            let xin = g.input(x);
             let (pred, param_vars) = self.forward(&mut g, xin, Some(&mut rng));
-            let target = g.input(y.clone());
+            let target = g.input(y);
             let mut loss = g.mse(pred, target);
             if self.config.l2 > 0.0 {
                 for (i, &pv) in param_vars.iter().enumerate() {
@@ -120,7 +122,7 @@ impl Regressor for Mlp {
     fn predict(&self, x: &Matrix) -> Matrix {
         assert!(!self.params.is_empty(), "predict before fit");
         let mut g = Graph::new();
-        let xin = g.input(x.clone());
+        let xin = g.input(x);
         let (pred, _) = self.forward(&mut g, xin, None);
         g.value(pred).clone()
     }

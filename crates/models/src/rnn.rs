@@ -95,15 +95,15 @@ impl Rnn {
     }
 
     fn forward(&self, g: &mut Graph, steps: &[Matrix], stat: &Matrix) -> (Var, Vec<Var>) {
-        let pv: Vec<Var> = self.params.iter().map(|p| g.input(p.clone())).collect();
+        let pv: Vec<Var> = self.params.iter().map(|p| g.input(p)).collect();
         let n = steps[0].rows();
-        let h0 = g.input(Matrix::zeros(n, self.config.hidden));
+        let h0 = g.input(&Matrix::zeros(n, self.config.hidden));
         let mut h = h0;
         match self.kind {
             RnnKind::Lstm => {
-                let mut c = g.input(Matrix::zeros(n, self.config.hidden));
+                let mut c = g.input(&Matrix::zeros(n, self.config.hidden));
                 for xm in steps {
-                    let x = g.input(xm.clone());
+                    let x = g.input(xm);
                     let i = self.gate(g, &pv, 0, x, h);
                     let i = g.sigmoid(i);
                     let f = self.gate(g, &pv, 1, x, h);
@@ -121,7 +121,7 @@ impl Rnn {
             }
             RnnKind::Gru => {
                 for xm in steps {
-                    let x = g.input(xm.clone());
+                    let x = g.input(xm);
                     let z = self.gate(g, &pv, 0, x, h);
                     let z = g.sigmoid(z);
                     let r = self.gate(g, &pv, 1, x, h);
@@ -137,7 +137,7 @@ impl Rnn {
                 }
             }
         }
-        let stat_v = g.input(stat.clone());
+        let stat_v = g.input(stat);
         let joined = g.concat_cols(&[h, stat_v]);
         let head_w = pv[pv.len() - 2];
         let head_b = pv[pv.len() - 1];
@@ -156,7 +156,7 @@ impl Regressor for Rnn {
         for _ in 0..self.config.epochs {
             let mut g = Graph::new();
             let (pred, pv) = self.forward(&mut g, &steps, &stat);
-            let target = g.input(y.clone());
+            let target = g.input(y);
             let mut loss = g.mse(pred, target);
             if self.config.l2 > 0.0 {
                 for (i, &v) in pv.iter().enumerate() {

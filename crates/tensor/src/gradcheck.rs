@@ -22,7 +22,7 @@ pub type ScalarFn<'a> = &'a dyn Fn(&mut Graph, &[Var]) -> Var;
 /// Evaluate `f` at `params` on `backend`, returning the scalar loss.
 fn eval(f: ScalarFn, params: &[Matrix], backend: &Arc<dyn Backend>) -> f64 {
     let mut g = Graph::with_backend(Arc::clone(backend));
-    let vars: Vec<Var> = params.iter().map(|p| g.input(p.clone())).collect();
+    let vars: Vec<Var> = params.iter().map(|p| g.input(p)).collect();
     let loss = f(&mut g, &vars);
     g.value(loss).item()
 }
@@ -67,7 +67,7 @@ pub fn analytic_gradients_with(
     backend: &Arc<dyn Backend>,
 ) -> Vec<Matrix> {
     let mut g = Graph::with_backend(Arc::clone(backend));
-    let vars: Vec<Var> = params.iter().map(|p| g.input(p.clone())).collect();
+    let vars: Vec<Var> = params.iter().map(|p| g.input(p)).collect();
     let loss = f(&mut g, &vars);
     let grads = g.backward(loss);
     vars.iter().map(|&v| grads.get(v)).collect()
@@ -126,6 +126,7 @@ mod tests {
     use crate::init::{dropout_mask, he_uniform, xavier_uniform};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::rc::Rc;
 
     const TOL: f64 = 1e-6;
 
@@ -206,17 +207,17 @@ mod tests {
     fn check_masked_softmax() {
         let mut r = rng();
         let params = vec![xavier_uniform(4, 4, &mut r)];
-        let mask = Matrix::from_rows(&[
+        let mask = Rc::new(Matrix::from_rows(&[
             &[1.0, 1.0, 0.0, 1.0],
             &[0.0, 1.0, 1.0, 0.0],
             &[1.0, 0.0, 0.0, 0.0],
             &[1.0, 1.0, 1.0, 1.0],
-        ]);
+        ]));
         let weights = xavier_uniform(4, 4, &mut r);
         check_gradients(
             &move |g, vars| {
                 let sm = g.masked_softmax_rows(vars[0], &mask);
-                let w = g.input(weights.clone());
+                let w = g.input(&weights);
                 let y = g.mul(sm, w);
                 g.sum_all(y)
             },
@@ -234,12 +235,12 @@ mod tests {
             xavier_uniform(3, 1, &mut r), // a_left
             xavier_uniform(3, 1, &mut r), // a_right
         ];
-        let mask = Matrix::from_rows(&[
+        let mask = Rc::new(Matrix::from_rows(&[
             &[1.0, 1.0, 0.0, 0.0],
             &[1.0, 1.0, 1.0, 0.0],
             &[0.0, 1.0, 1.0, 1.0],
             &[0.0, 0.0, 1.0, 1.0],
-        ]);
+        ]));
         check_gradients(
             &move |g, vars| {
                 let sl = g.matmul(vars[0], vars[1]);
@@ -278,7 +279,7 @@ mod tests {
         check_gradients(
             &move |g, vars| {
                 let c = g.concat_cols(&[vars[0], vars[1]]);
-                let t = g.input(target.clone());
+                let t = g.input(&target);
                 g.mse(c, t)
             },
             &params,
@@ -290,7 +291,7 @@ mod tests {
     fn check_dropout_is_linear() {
         let mut r = rng();
         let params = vec![he_uniform(4, 4, &mut r)];
-        let mask = dropout_mask(4, 4, 0.5, &mut r);
+        let mask = Rc::new(dropout_mask(4, 4, 0.5, &mut r));
         check_gradients(
             &move |g, vars| {
                 let d = g.dropout(vars[0], &mask);
@@ -353,15 +354,15 @@ mod tests {
             xavier_uniform(2, 1, &mut r), // head-2 a_left
             xavier_uniform(2, 1, &mut r), // head-2 a_right
         ];
-        let mask = Matrix::from_rows(&[
+        let mask = Rc::new(Matrix::from_rows(&[
             &[1.0, 1.0, 0.0, 0.0],
             &[1.0, 1.0, 1.0, 0.0],
             &[0.0, 1.0, 1.0, 1.0],
             &[0.0, 0.0, 1.0, 1.0],
-        ]);
+        ]));
         // Eval-mode dropout: rate 0 ⇒ an all-ones mask, so the op is
         // recorded on the tape but must behave as the identity.
-        let eval_mask = dropout_mask(4, 2, 0.0, &mut r);
+        let eval_mask = Rc::new(dropout_mask(4, 2, 0.0, &mut r));
         assert!(eval_mask.as_slice().iter().all(|&m| m == 1.0));
         check_gradients(
             &move |g, vars| {
@@ -390,8 +391,8 @@ mod tests {
         let mut r = rng();
         let mut g = Graph::new();
         let x0 = xavier_uniform(3, 4, &mut r);
-        let x = g.input(x0.clone());
-        let m = dropout_mask(3, 4, 0.0, &mut r);
+        let x = g.input(&x0);
+        let m = Rc::new(dropout_mask(3, 4, 0.0, &mut r));
         let y = g.dropout(x, &m);
         assert_eq!(g.value(y).as_slice(), x0.as_slice());
         let loss = g.sum_all(y);

@@ -7,6 +7,8 @@
 //! moment state aligned by position, so a model must always pass its
 //! parameters in the same order.
 
+use std::borrow::Borrow;
+
 use crate::matrix::Matrix;
 
 /// A serializable snapshot of an [`Adam`] optimizer's internal state,
@@ -63,11 +65,12 @@ impl Adam {
     }
 
     /// Apply one update. `params` and `grads` must be positionally
-    /// aligned and keep the same shapes across calls.
+    /// aligned and keep the same shapes across calls. Gradients may be
+    /// owned or borrowed (say, straight from [`crate::Gradients::get_ref`]).
     ///
     /// # Panics
     /// Panics on length or shape mismatch with the first call.
-    pub fn step(&mut self, params: &mut [Matrix], grads: &[Matrix]) {
+    pub fn step<G: Borrow<Matrix>>(&mut self, params: &mut [Matrix], grads: &[G]) {
         assert_eq!(params.len(), grads.len(), "Adam::step: params/grads length mismatch");
         if self.m.is_empty() {
             self.m = params.iter().map(|p| Matrix::zeros(p.rows(), p.cols())).collect();
@@ -80,6 +83,7 @@ impl Adam {
         let bc2 = 1.0 - self.beta2.powi(t);
         for ((p, g), (m, v)) in params.iter_mut().zip(grads).zip(self.m.iter_mut().zip(&mut self.v))
         {
+            let g = g.borrow();
             assert_eq!(p.shape(), g.shape(), "Adam::step: gradient shape mismatch");
             for ((pi, &gi), (mi, vi)) in p
                 .as_mut_slice()
@@ -148,8 +152,8 @@ mod tests {
         let mut params = vec![Matrix::zeros(2, 2)];
         for _ in 0..steps {
             let mut g = Graph::new();
-            let w = g.input(params[0].clone());
-            let t = g.input(target.clone());
+            let w = g.input(&params[0]);
+            let t = g.input(&target);
             let d = g.sub(w, t);
             let loss = g.sq_frobenius(d);
             let grads = g.backward(loss);
@@ -207,8 +211,8 @@ mod tests {
                     adam.restore_state(snap);
                 }
                 let mut g = Graph::new();
-                let w = g.input(params[0].clone());
-                let t = g.input(target.clone());
+                let w = g.input(&params[0]);
+                let t = g.input(&target);
                 let d = g.sub(w, t);
                 let loss = g.sq_frobenius(d);
                 let grads = g.backward(loss);
@@ -227,6 +231,6 @@ mod tests {
     fn adam_rejects_misaligned_grads() {
         let mut adam = Adam::new(0.01);
         let mut params = vec![Matrix::scalar(0.0)];
-        adam.step(&mut params, &[]);
+        adam.step::<Matrix>(&mut params, &[]);
     }
 }

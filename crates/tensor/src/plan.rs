@@ -236,12 +236,13 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::matrix::Matrix;
+    use std::rc::Rc;
 
     #[test]
     fn graph_plan_mirrors_tape_structure() {
         let mut g = Graph::new();
-        let x = g.input(Matrix::from_rows(&[&[1.0, 2.0]]));
-        let w = g.input(Matrix::from_rows(&[&[0.5], &[-1.0]]));
+        let x = g.input(&Matrix::from_rows(&[&[1.0, 2.0]]));
+        let w = g.input(&Matrix::from_rows(&[&[0.5], &[-1.0]]));
         let y = g.matmul(x, w);
         let loss = g.sq_frobenius(y);
         let plan = g.plan();
@@ -256,8 +257,8 @@ mod tests {
     #[test]
     fn plan_records_mask_structure() {
         let mut g = Graph::new();
-        let x = g.input(Matrix::zeros(2, 3));
-        let mask = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[0.0, 0.0, 0.0]]);
+        let x = g.input(&Matrix::zeros(2, 3));
+        let mask = Rc::new(Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[0.0, 0.0, 0.0]]));
         let s = g.masked_softmax_rows(x, &mask);
         let plan = g.plan();
         match &plan.nodes[s.index()].op {
@@ -273,8 +274,8 @@ mod tests {
     #[test]
     fn provenance_walks_ancestors_first() {
         let mut g = Graph::new();
-        let a = g.input(Matrix::scalar(1.0));
-        let b = g.input(Matrix::scalar(2.0));
+        let a = g.input(&Matrix::scalar(1.0));
+        let b = g.input(&Matrix::scalar(2.0));
         let s = g.add(a, b);
         let t = g.tanh(s);
         let plan = g.plan();

@@ -1,5 +1,7 @@
 //! Property-based tests of the matrix algebra and autodiff invariants.
 
+use std::rc::Rc;
+
 use ams_tensor::{Graph, Matrix};
 use proptest::prelude::*;
 
@@ -62,7 +64,7 @@ proptest! {
     #[test]
     fn grad_of_scaled_sum_is_constant(a in matrix(3, 3), alpha in -5.0f64..5.0) {
         let mut g = Graph::new();
-        let x = g.input(a);
+        let x = g.input(&a);
         let y = g.scale(x, alpha);
         let loss = g.sum_all(y);
         let grads = g.backward(loss);
@@ -76,8 +78,8 @@ proptest! {
     #[test]
     fn quadratic_gradient_closed_form(x0 in matrix(3, 4), w0 in matrix(4, 2)) {
         let mut g = Graph::new();
-        let x = g.input(x0.clone());
-        let w = g.input(w0.clone());
+        let x = g.input(&x0);
+        let w = g.input(&w0);
         let y = g.matmul(x, w);
         let loss = g.sq_frobenius(y);
         let grads = g.backward(loss);
@@ -90,8 +92,8 @@ proptest! {
     #[test]
     fn cancellation_gradients(a in matrix(2, 3), b in matrix(2, 3)) {
         let mut g = Graph::new();
-        let av = g.input(a);
-        let bv = g.input(b);
+        let av = g.input(&a);
+        let bv = g.input(&b);
         let s = g.add(av, bv);
         let d = g.sub(s, bv);
         let loss = g.sum_all(d);
@@ -119,8 +121,8 @@ proptest! {
     #[test]
     fn softmax_simplex(a in matrix(4, 6)) {
         let mut g = Graph::new();
-        let x = g.input(a);
-        let mask = Matrix::ones(4, 6);
+        let x = g.input(&a);
+        let mask = Rc::new(Matrix::ones(4, 6));
         let y = g.masked_softmax_rows(x, &mask);
         let yv = g.value(y);
         for r in 0..4 {
